@@ -3,10 +3,13 @@
 :class:`ExperimentRunner` turns campaigns into :class:`ResultSet` objects.
 Results are memoized on disk keyed by :attr:`ExperimentSpec.spec_id` (a
 content hash of the spec), so re-running an identical campaign — the Figure 6
-reproduction, a design-space sweep — is instant.  The serial path shares
-prediction toolchains across specs that differ only in traffic pattern, which
-lets the toolchain's per-topology routing-table cache skip redundant BFS work;
-the parallel path fans specs out over a :class:`ProcessPoolExecutor`.
+reproduction, a design-space sweep — is instant.  Specs run in *units* (a
+fused gang or a single spec, see :func:`~repro.experiments.scheduler.run_unit`),
+in-process or fanned out over a :class:`ProcessPoolExecutor`; in-process
+units share topologies and prediction toolchains across specs that differ
+only in traffic pattern, which lets the toolchain's per-topology
+routing-table cache skip redundant BFS work.  Each unit's results are
+memoized as soon as the unit finishes.
 
 Cache entries and parallel-worker payloads round-trip through JSON (see
 :mod:`repro.experiments.serialization`): the scalar prediction metrics and
@@ -44,29 +47,21 @@ from repro.analysis.pareto import (
 from repro.experiments.cache import CacheBackend, DirectoryCache
 from repro.experiments.campaign import Campaign
 from repro.experiments.serialization import prediction_from_dict, prediction_to_dict
-from repro.experiments.spec import ExperimentSpec, toolchain_key, topology_key
-from repro.experiments.scheduler import plan_gangs, run_gang_detailed
+from repro.experiments.spec import ExperimentSpec
+from repro.experiments.scheduler import SharedBuilds, plan_gangs, run_unit
 from repro.toolchain.results import PredictionResult
 from repro.utils.validation import ValidationError
 
 
-def _predict_payload(spec_dict: dict[str, Any]) -> dict[str, Any]:
-    """Process-pool worker: run one spec, return the serialized prediction."""
-    spec = ExperimentSpec.from_dict(spec_dict)
-    return prediction_to_dict(spec.run())
+def _unit_payload(spec_dicts: list[dict[str, Any]]) -> dict[str, Any]:
+    """Process-pool worker: run one unit, return its serialized predictions.
 
-
-def _gang_payload(spec_dicts: list[dict[str, Any]]) -> dict[str, Any]:
-    """Process-pool worker: run one gang of specs fused (or one spec solo).
-
-    The pool fans out *across* gangs — each worker process runs one fused
-    kernel — so a campaign spanning several compiled networks gangs each
-    one while still using every core.
+    The pool fans out *across* units — each worker process runs one gang's
+    fused kernel or one spec — so a campaign spanning several compiled
+    networks gangs each one while still using every core.
     """
     specs = [ExperimentSpec.from_dict(spec_dict) for spec_dict in spec_dicts]
-    if len(specs) == 1:
-        return {"results": [prediction_to_dict(specs[0].run())], "lanes": None}
-    predictions, lanes = run_gang_detailed(specs)
+    predictions, lanes = run_unit(specs)
     return {
         "results": [prediction_to_dict(prediction) for prediction in predictions],
         "lanes": lanes,
@@ -78,7 +73,7 @@ class _ProgressReporter:
 
     Long campaigns (and the optimizer's simulation rungs) are otherwise
     silent for minutes; the runner calls :meth:`completed` after every
-    *computed* spec and :meth:`group_completed` after every fused gang.
+    computed unit — one spec or one fused gang.
     Cache-hit specs are excluded from ``total`` up front (and reported once
     at construction), so the ETA extrapolates the mean time per *computed*
     spec over the specs actually left to compute — coarse, but honest about
@@ -99,24 +94,18 @@ class _ProgressReporter:
                 flush=True,
             )
 
-    def completed(self, spec: ExperimentSpec) -> None:
-        """Report one computed spec."""
-        self.done += 1
-        print(
-            f"[repro] {self.done}/{self.total} ({self._timing()}) {spec.describe()}",
-            file=self.stream,
-            flush=True,
-        )
-
-    def group_completed(
+    def completed(
         self, specs: Sequence[ExperimentSpec], lanes: int | None = None
     ) -> None:
-        """Report one fused gang: ``len(specs)`` specs finished at once."""
+        """Report one computed unit: a spec, or a gang of ``len(specs)``."""
         self.done += len(specs)
-        lane_note = f", {lanes} lanes" if lanes else ""
+        if len(specs) > 1:
+            lane_note = f", {lanes} lanes" if lanes else ""
+            what = f"gang of {len(specs)} specs{lane_note}: {specs[0].describe()}"
+        else:
+            what = specs[0].describe()
         print(
-            f"[repro] {self.done}/{self.total} ({self._timing()}) "
-            f"gang of {len(specs)} specs{lane_note}: {specs[0].describe()}",
+            f"[repro] {self.done}/{self.total} ({self._timing()}) {what}",
             file=self.stream,
             flush=True,
         )
@@ -477,80 +466,38 @@ class ExperimentRunner:
         )
 
         # Specs that opted into the vec engine and share a compiled network
-        # fuse into gangs; everything else runs through the classic paths.
-        gangs = plan_gangs(unique.values()) if len(unique) > 1 else []
+        # fuse into gangs; every other spec is a unit of its own.  Each
+        # unit's results are persisted as soon as it finishes, so a crash
+        # loses only the unit that was running.
+        gangs = plan_gangs(unique.values())
         ganged_ids = {spec.spec_id for gang in gangs for spec in gang}
+        units = gangs + [
+            [spec] for spec in unique.values() if spec.spec_id not in ganged_ids
+        ]
+
+        def finished(unit, predictions, lanes) -> None:
+            for spec, prediction in zip(unit, predictions):
+                computed[spec.spec_id] = prediction
+                self._store(spec, prediction)
+            if reporter is not None:
+                reporter.completed(unit, lanes)
 
         if parallel is not None and parallel > 1 and len(unique) > 1:
-            solo = [
-                spec for spec in unique.values() if spec.spec_id not in ganged_ids
-            ]
-            units: list[list[ExperimentSpec]] = list(gangs)
-            units.extend([spec] for spec in solo)
             with ProcessPoolExecutor(max_workers=parallel) as pool:
                 payloads = pool.map(
-                    _gang_payload,
+                    _unit_payload,
                     [[spec.to_dict() for spec in unit] for unit in units],
                 )
-                # pool.map yields in submission order, so progress lines
-                # appear as each next-in-order unit finishes.
+                # pool.map yields in submission order, so results land (and
+                # progress lines appear) as each next-in-order unit finishes.
                 for unit, payload in zip(units, payloads):
-                    for spec, result in zip(unit, payload["results"]):
-                        computed[spec.spec_id] = prediction_from_dict(result)
-                    if reporter is None:
-                        continue
-                    if len(unit) > 1:
-                        reporter.group_completed(unit, payload["lanes"])
-                    else:
-                        reporter.completed(unit[0])
+                    predictions = [prediction_from_dict(r) for r in payload["results"]]
+                    finished(unit, predictions, payload["lanes"])
         else:
-            for gang in gangs:
-                predictions, lanes = run_gang_detailed(gang)
-                for spec, prediction in zip(gang, predictions):
-                    computed[spec.spec_id] = prediction
-                if reporter is not None:
-                    reporter.group_completed(gang, lanes)
-            # Share toolchains and topology objects between specs that agree
-            # on them (so the toolchain's routing-table cache kicks in), but
-            # evict each as soon as the last spec needing it has run — a
-            # 4096-configuration design-space sweep must not hold 4096
-            # routing tables in memory at once.
-            solo = [
-                spec for spec in unique.values() if spec.spec_id not in ganged_ids
-            ]
-            remaining_chain: dict[tuple, int] = {}
-            remaining_topo: dict[tuple, int] = {}
-            for spec in solo:
-                remaining_chain[toolchain_key(spec)] = (
-                    remaining_chain.get(toolchain_key(spec), 0) + 1
-                )
-                remaining_topo[topology_key(spec)] = (
-                    remaining_topo.get(topology_key(spec), 0) + 1
-                )
-            toolchains: dict[tuple, Any] = {}
-            topologies: dict[tuple, Any] = {}
-            for spec in solo:
-                chain_key, topo_key = toolchain_key(spec), topology_key(spec)
-                chain = toolchains.get(chain_key)
-                if chain is None:
-                    chain = spec.build_toolchain()
-                    toolchains[chain_key] = chain
-                topo = topologies.get(topo_key)
-                if topo is None:
-                    topo = spec.build_topology()
-                    topologies[topo_key] = topo
-                computed[spec.spec_id] = chain.predict(topo, traffic=spec.traffic)
-                if reporter is not None:
-                    reporter.completed(spec)
-                remaining_chain[chain_key] -= 1
-                if remaining_chain[chain_key] == 0:
-                    del toolchains[chain_key]
-                remaining_topo[topo_key] -= 1
-                if remaining_topo[topo_key] == 0:
-                    del topologies[topo_key]
+            builds = SharedBuilds(unique.values())
+            for unit in units:
+                finished(unit, *run_unit(unit, builds))
 
-        for spec_id, prediction in computed.items():
-            self._store(unique[spec_id], prediction)
         for index, spec in pending:
             slots[index] = ExperimentResult(
                 spec=spec, prediction=computed[spec.spec_id], cached=False

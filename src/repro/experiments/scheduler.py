@@ -1,53 +1,46 @@
-"""Gang scheduler: fuse many specs' simulations into recycled vec kernels.
+"""Execution units: gangs of specs fused into recycled vec kernels, or one spec.
 
-A campaign of simulation-mode specs over one topology used to pay one full
-load sweep per spec, sequentially.  This module packs *cross-spec* work into
-fused batched kernels instead:
+:func:`run_unit` is what the campaign runner (in-process or in a pool
+worker) and the queue worker execute: one spec through its
+:class:`~repro.toolchain.predict.PredictionToolchain`, or a *gang* — specs
+sharing one compiled :class:`~repro.simulator.network.Network` — packed
+into one fused kernel:
 
-1. **Grouping** — :func:`gang_key` buckets specs that can share one compiled
-   :class:`~repro.simulator.network.Network`: same topology build
-   (:func:`~repro.experiments.spec.topology_key`, which includes the
+1. **Grouping** — :func:`gang_key` buckets specs with the same topology
+   build (:func:`~repro.experiments.spec.topology_key`, which includes the
    architecture overrides that determine the physical link latencies) and
-   same router-level :meth:`~repro.simulator.simulation.SimulationConfig.network_config`.
+   the same router-level
+   :meth:`~repro.simulator.simulation.SimulationConfig.network_config`.
    Analytical specs and specs pinned to the ``sanitizer`` engine (whose
    per-cycle audits must actually run) never gang.
-2. **Expansion** — :func:`run_gang` expands each spec into its sequence of
-   simulation rounds: the saturation search's probe/coarse/bisection rounds
-   (via :func:`~repro.simulator.sweep.saturation_plan`) or a single
-   trace-replay lane for workload specs.
-3. **Execution** — all rounds flow through one lane-recycled vec kernel
-   (:func:`~repro.simulator.engine.vec.run_batched`): when a lane drains,
-   the freed slot is immediately re-armed with the next pending config —
-   the next spec's probe, a coarse batch, a bisection midpoint — so the
-   batch axis stays full instead of waiting on the slowest lane.
+2. **Execution** — :func:`run_gang_detailed` asks each spec's toolchain for
+   its plan (saturation search or one trace-replay round) and runs all of
+   them through :func:`~repro.simulator.sweep.run_plans` on one
+   lane-recycled vec kernel, so the batch axis stays full instead of
+   waiting on the slowest lane; each toolchain then assembles its
+   :class:`~repro.toolchain.results.PredictionResult`.
 
-Bit-identity contract: every lane is bit-identical to its solo run (the vec
-kernel's guarantee), the saturation plan emits the same rounds and trims the
-same points as the sequential search, and the per-spec
-:class:`~repro.toolchain.results.PredictionResult` is assembled exactly as
-:meth:`~repro.toolchain.predict.PredictionToolchain.predict` does — so
+Every lane is bit-identical to its solo run, the plans emit the same rounds
+as the sequential search, and results are assembled by the same code as
+:meth:`~repro.toolchain.predict.PredictionToolchain.predict` — so
 memoization keys *and* cached payloads are unchanged, and cross-engine cache
-hits keep working.  Specs whose physical link latencies unexpectedly diverge
-from their gang (which the gang key should prevent) fall back to solo
-execution rather than sharing a mismatched network.
+hits keep working.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
-from typing import Iterable, Sequence
+from collections import Counter
+from typing import Any, Iterable, Sequence
 
-from repro.experiments.spec import ExperimentSpec, topology_key
+from repro.experiments.spec import ExperimentSpec, toolchain_key, topology_key
 from repro.physical.model import NoCPhysicalModel
-from repro.simulator.engine.vec import run_batched
 from repro.simulator.network import build_network
-from repro.simulator.routing_tables import build_routing_tables
-from repro.simulator.simulation import SimulationConfig, Simulator
-from repro.simulator.statistics import SimulationStats
-from repro.simulator.sweep import LoadSweepResult, saturation_plan
+from repro.simulator.sweep import run_plans
+from repro.toolchain.predict import PredictionToolchain
 from repro.toolchain.results import PredictionResult
+from repro.topologies.base import Topology
 from repro.utils.validation import ValidationError
 
 #: Engines whose specs must never be fused: the gang executes every lane on
@@ -102,197 +95,62 @@ def gang_key_id(spec: ExperimentSpec) -> str | None:
     return "gang-" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def plan_gangs(
-    specs: Iterable[ExperimentSpec],
-    engines: Sequence[str] = ("vec",),
-    min_size: int = 2,
-) -> list[list[ExperimentSpec]]:
+def plan_gangs(specs: Iterable[ExperimentSpec]) -> list[list[ExperimentSpec]]:
     """Group ``specs`` into gangs worth fusing (order-preserving).
 
-    ``engines`` restricts which explicit ``sim["engine"]`` choices opt a
-    spec into ganging — the runner fuses only ``engine="vec"`` specs (the
-    documented batched path), while the queue worker passes a wider set.
-    Groups smaller than ``min_size`` are dropped: a width-1 "gang" loses to
-    the solo sweep, whose coarse stage already batches six lanes wide.
+    Only specs that explicitly select ``sim["engine"] = "vec"`` (the
+    documented batched path) opt into ganging, and groups of one are
+    dropped: a width-1 "gang" loses to the solo sweep, whose coarse stage
+    already batches six lanes wide.
     """
     groups: dict[tuple, list[ExperimentSpec]] = {}
     for spec in specs:
-        if spec.sim.get("engine") not in engines:
-            continue
         key = gang_key(spec)
-        if key is None:
-            continue
-        groups.setdefault(key, []).append(spec)
-    return [members for members in groups.values() if len(members) >= min_size]
+        if key is not None and spec.sim.get("engine") == "vec":
+            groups.setdefault(key, []).append(spec)
+    return [members for members in groups.values() if len(members) > 1]
 
 
-class _SpecDriver:
-    """Feeds one spec's simulation rounds into the shared kernel.
+class SharedBuilds:
+    """Topologies and toolchains shared by the specs of one run.
 
-    Sweep specs wrap a :func:`~repro.simulator.sweep.saturation_plan`
-    generator; workload specs issue a single trace-replay round.  The gang
-    loop calls :meth:`next_round` with the previous round's statistics and
-    arms the returned configs as fresh lanes.
+    Specs that describe the same graph share one topology object, and specs
+    that differ only in traffic share one toolchain — and with it the
+    toolchain's routing tables for that topology.  Each object is dropped
+    as soon as the last spec needing it has been released, so a
+    4096-configuration design-space sweep never holds 4096 routing tables
+    at once.
     """
 
-    def __init__(self, spec: ExperimentSpec) -> None:
-        self.spec = spec
-        self.config = spec.build_simulation_config()
-        self.trace = spec.build_workload_trace()
-        self.round_stats: list[SimulationStats | None] = []
-        self.outstanding = 0
-        self.replay_stats: SimulationStats | None = None
-        self.sweep: LoadSweepResult | None = None
-        self._plan = None if self.trace is not None else saturation_plan(
-            self.config, batch_coarse=True
-        )
-        self._replay_issued = False
+    def __init__(self, specs: Iterable[ExperimentSpec]) -> None:
+        self._left = Counter(key for spec in specs for key in self._keys(spec))
+        self._built: dict[tuple, Any] = {}
 
-    def next_round(
-        self, stats: "list[SimulationStats] | None"
-    ) -> "list[SimulationConfig] | None":
-        """Advance with the finished round's stats; return the next round."""
-        if self._plan is not None:
-            try:
-                return self._plan.send(stats)
-            except StopIteration as stop:
-                self.sweep = stop.value
-                return None
-        if not self._replay_issued:
-            self._replay_issued = True
-            return [self.config]
-        (self.replay_stats,) = stats
-        return None
+    @staticmethod
+    def _keys(spec: ExperimentSpec) -> tuple[tuple, tuple]:
+        return ("toolchain", toolchain_key(spec)), ("topology", topology_key(spec))
+
+    def __call__(self, spec: ExperimentSpec) -> tuple[PredictionToolchain, Topology]:
+        """The (shared) toolchain and topology ``spec`` runs on."""
+        builders = (spec.build_toolchain, spec.build_topology)
+        for key, build in zip(self._keys(spec), builders):
+            if key not in self._built:
+                self._built[key] = build()
+        return tuple(self._built[key] for key in self._keys(spec))
+
+    def release(self, spec: ExperimentSpec) -> None:
+        """``spec`` has run: drop whatever no remaining spec needs."""
+        for key in self._keys(spec):
+            self._left[key] -= 1
+            if self._left[key] <= 0:
+                self._built.pop(key, None)
 
 
 def run_gang_detailed(
     specs: Sequence[ExperimentSpec],
     max_width: int = DEFAULT_MAX_WIDTH,
+    builds: SharedBuilds | None = None,
 ) -> tuple[list[PredictionResult], int]:
-    """:func:`run_gang` plus the total lane count (for progress reporting)."""
-    specs = list(specs)
-    if not specs:
-        return [], 0
-    key = gang_key(specs[0])
-    if key is None:
-        raise ValidationError(
-            "run_gang needs simulation-mode specs (analytical and "
-            "sanitizer-engine specs cannot be fused)"
-        )
-    for spec in specs[1:]:
-        if gang_key(spec) != key:
-            raise ValidationError(
-                "all specs of a gang must share one gang_key(); "
-                "group with plan_gangs() first"
-            )
-
-    topology = specs[0].build_topology()
-    routing = build_routing_tables(topology)
-    # Evaluate the physical model per spec (each PredictionResult carries
-    # its own physical record, exactly like the sequential path).  The gang
-    # key forces identical architecture overrides, so the link latencies
-    # agree; any spec that still diverges falls back to solo execution.
-    physicals = [
-        NoCPhysicalModel(spec.build_parameters()).evaluate(topology)
-        for spec in specs
-    ]
-    link_latencies = physicals[0].link_latencies
-    fused_indices = [
-        index
-        for index in range(len(specs))
-        if physicals[index].link_latencies == link_latencies
-    ]
-    solo_indices = [
-        index for index in range(len(specs)) if index not in set(fused_indices)
-    ]
-
-    network = build_network(
-        topology,
-        config=specs[0].build_simulation_config().network_config(),
-        link_latencies=link_latencies,
-        routing=routing,
-    )
-
-    drivers = [_SpecDriver(specs[index]) for index in fused_indices]
-    engine_meta: dict[int, tuple[_SpecDriver, int]] = {}
-    lanes_used = 0
-
-    def make_engines(driver: _SpecDriver, configs) -> list:
-        nonlocal lanes_used
-        driver.outstanding = len(configs)
-        driver.round_stats = [None] * len(configs)
-        engines = []
-        for position, config in enumerate(configs):
-            simulator = Simulator(
-                topology,
-                replace(config, engine="vec"),
-                network=network,
-                trace=driver.trace,
-            )
-            engine_meta[id(simulator.engine)] = (driver, position)
-            engines.append(simulator.engine)
-            lanes_used += 1
-        return engines
-
-    initial: list = []
-    for driver in drivers:
-        configs = driver.next_round(None)
-        if configs:
-            initial.extend(make_engines(driver, configs))
-
-    def on_finish(engine, stats):
-        driver, position = engine_meta.pop(id(engine))
-        driver.round_stats[position] = stats
-        driver.outstanding -= 1
-        if driver.outstanding:
-            return []
-        configs = driver.next_round(driver.round_stats)
-        if configs is None:
-            return []
-        return make_engines(driver, configs)
-
-    if initial:
-        run_batched(
-            initial[:max_width], pending=initial[max_width:], on_finish=on_finish
-        )
-
-    results: list[PredictionResult | None] = [None] * len(specs)
-    for driver_index, spec_index in enumerate(fused_indices):
-        spec = specs[spec_index]
-        driver = drivers[driver_index]
-        physical = physicals[spec_index]
-        if driver.trace is not None:
-            stats = driver.replay_stats
-            zero_load = stats.average_packet_latency
-            saturation = stats.accepted_load
-            details = {"replay": stats, "workload": dict(spec.workload)}
-        else:
-            sweep = driver.sweep
-            zero_load = sweep.zero_load_latency
-            saturation = sweep.saturation_throughput
-            details = {
-                "sweep_points": [(rate, stats) for rate, stats in sweep.points]
-            }
-        results[spec_index] = PredictionResult(
-            topology_name=topology.name,
-            area_overhead=physical.area_overhead,
-            total_area_mm2=physical.area.total_area_mm2,
-            noc_power_w=physical.noc_power_w,
-            zero_load_latency_cycles=zero_load,
-            saturation_throughput=saturation,
-            performance_mode=spec.performance_mode,
-            physical=physical,
-            details=details,
-        )
-    for spec_index in solo_indices:
-        results[spec_index] = specs[spec_index].run()
-    return results, lanes_used
-
-
-def run_gang(
-    specs: Sequence[ExperimentSpec],
-    max_width: int = DEFAULT_MAX_WIDTH,
-) -> list[PredictionResult]:
     """Execute a gang of compatible specs through one lane-recycled kernel.
 
     All specs must share one :func:`gang_key` (raises
@@ -300,17 +158,85 @@ def run_gang(
     one :class:`~repro.toolchain.results.PredictionResult` per spec, in
     input order, bit-identical to ``[spec.run() for spec in specs]`` — the
     sweep points, replay statistics (phases included), and every scalar
-    metric match the sequential path exactly.
+    metric match the sequential path exactly — plus the total lane count
+    (for progress reporting).
+
+    The physical model runs once per distinct
+    :meth:`~repro.experiments.spec.ExperimentSpec.build_parameters`: the
+    gang key fixes every input of the link latencies, so one network
+    serves every spec.
     """
-    return run_gang_detailed(specs, max_width=max_width)[0]
+    specs = list(specs)
+    if not specs:
+        return [], 0
+    key = gang_key(specs[0])
+    if key is None:
+        raise ValidationError(
+            "a gang needs simulation-mode specs (analytical and "
+            "sanitizer-engine specs cannot be fused)"
+        )
+    if any(gang_key(spec) != key for spec in specs[1:]):
+        raise ValidationError(
+            "all specs of a gang must share one gang_key(); "
+            "group with plan_gangs() first"
+        )
+
+    builds = builds if builds is not None else SharedBuilds(specs)
+    chains = [builds(spec)[0] for spec in specs]
+    topology = builds(specs[0])[1]
+    physicals = {}
+    for chain in chains:
+        if chain.params not in physicals:
+            physicals[chain.params] = NoCPhysicalModel(chain.params).evaluate(topology)
+    network = build_network(
+        topology,
+        config=chains[0].simulation_config.network_config(),
+        link_latencies=physicals[chains[0].params].link_latencies,
+        routing=chains[0].routing_for(topology),
+    )
+    plans, traces = zip(
+        *(chain.plan(topology, spec.traffic, batched=True)
+          for spec, chain in zip(specs, chains))
+    )
+    outcomes, lanes = run_plans(
+        topology, network, plans, batched=True, traces=traces, max_width=max_width
+    )
+    results = [
+        chain.assemble(topology, physicals[chain.params], outcome)
+        for chain, outcome in zip(chains, outcomes)
+    ]
+    return results, lanes
+
+
+def run_unit(
+    specs: Sequence[ExperimentSpec], builds: SharedBuilds | None = None
+) -> tuple[list[PredictionResult], int | None]:
+    """Run one execution unit: a gang fused through one kernel, or one spec.
+
+    Returns the predictions in ``specs`` order and the gang's lane count
+    (``None`` for a single spec).  ``builds`` shares topologies and
+    toolchains with the other units of an in-process run; each spec is
+    released from it once the unit has run.
+    """
+    builds = builds if builds is not None else SharedBuilds(specs)
+    if len(specs) > 1:
+        predictions, lanes = run_gang_detailed(specs, builds=builds)
+    else:
+        (spec,) = specs
+        chain, topology = builds(spec)
+        predictions, lanes = [chain.predict(topology, traffic=spec.traffic)], None
+    for spec in specs:
+        builds.release(spec)
+    return predictions, lanes
 
 
 __all__ = [
     "DEFAULT_MAX_WIDTH",
     "UNFUSABLE_ENGINES",
+    "SharedBuilds",
     "gang_key",
     "gang_key_id",
     "plan_gangs",
-    "run_gang",
     "run_gang_detailed",
+    "run_unit",
 ]

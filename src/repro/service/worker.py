@@ -17,12 +17,13 @@ result.
 With ``batch_size > 1`` (CLI ``repro work --batch N``) the worker leases up
 to N gang-compatible jobs per claim
 (:meth:`~repro.service.queue.WorkQueue.claim_batch`) and executes them as
-one fused vec kernel (:func:`~repro.experiments.scheduler.run_gang`); the
-heartbeat renews every lease of the batch, and each job still follows its
-own store-before-complete sequence, so crash semantics are identical to the
-single-job path.  If the fused run raises, the batch falls back to per-spec
-execution under the same leases — one poison spec fails alone instead of
-taking its gang down with it.
+one fused vec kernel (:func:`~repro.experiments.scheduler.run_unit`, the
+unit function the campaign runner executes too); the heartbeat renews every
+lease of the batch, and each job still follows its own store-before-complete
+sequence, so crash semantics are identical to the single-job path.  If the
+fused run raises, the batch falls back to per-spec execution under the same
+leases — one poison spec fails alone instead of taking its gang down with
+it — and the fallback is counted in :attr:`WorkerStats.fused_fallbacks`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
-from repro.experiments.scheduler import run_gang
+from repro.experiments.scheduler import run_unit
 from repro.experiments.serialization import prediction_to_dict
 from repro.experiments.spec import ExperimentSpec
 from repro.service.queue import DEFAULT_LEASE_SECONDS, WorkQueue
@@ -58,6 +59,9 @@ class WorkerStats:
     lost_leases:
         Jobs computed whose lease was lost before completion (another
         worker reclaimed them; the store write was idempotent).
+    fused_fallbacks:
+        Multi-job batches whose fused run raised and whose jobs were rerun
+        one by one.
     errors:
         ``(spec_id, error)`` pairs for the failed jobs.
     """
@@ -66,13 +70,15 @@ class WorkerStats:
     computed: int = 0
     failed: int = 0
     lost_leases: int = 0
+    fused_fallbacks: int = 0
     errors: list[tuple[str, str]] = field(default_factory=list)
 
     def summary(self) -> str:
         """One-line human-readable outcome."""
         return (
             f"worker {self.worker_id}: {self.computed} computed, "
-            f"{self.failed} failed, {self.lost_leases} lost lease(s)"
+            f"{self.failed} failed, {self.lost_leases} lost lease(s), "
+            f"{self.fused_fallbacks} fused fallback(s)"
         )
 
 
@@ -91,14 +97,12 @@ class _LeaseHeartbeat:
     def __init__(
         self,
         queue: WorkQueue,
-        spec_ids: str | Iterable[str],
+        spec_ids: Iterable[str],
         worker_id: str,
         lease_seconds: float,
     ) -> None:
         self._queue = queue
-        self._spec_ids = (
-            [spec_ids] if isinstance(spec_ids, str) else list(spec_ids)
-        )
+        self._spec_ids = list(spec_ids)
         self._worker_id = worker_id
         self._lease_seconds = lease_seconds
         self._stop = threading.Event()
@@ -134,31 +138,32 @@ def default_worker_id() -> str:
 
 def _execute_specs(
     specs: Sequence[ExperimentSpec],
-) -> tuple[dict[str, dict], dict[str, str]]:
-    """Run ``specs`` (fused when >1), returning per-spec payloads and errors.
+) -> tuple[dict[str, dict], dict[str, str], Exception | None]:
+    """Run ``specs`` as one unit: per-spec payloads, errors, fused failure.
 
-    A multi-spec batch first attempts one fused :func:`run_gang` kernel; any
-    exception there (including a single poison spec crashing the batch)
-    falls back to per-spec execution so the failure is attributed to the
-    one job that actually raises, not the whole gang.
+    A multi-spec batch first runs as one fused :func:`run_unit` kernel; an
+    exception there (including a single poison spec crashing the batch) is
+    returned as the third value, and every spec reruns on its own so the
+    failure is attributed to the one job that actually raises, not the
+    whole gang.
     """
-    payloads: dict[str, dict] = {}
-    errors: dict[str, str] = {}
+    fused_error: Exception | None = None
     if len(specs) > 1:
         try:
-            predictions = run_gang(specs)
-        except Exception:  # noqa: BLE001 — isolate the poison spec below
-            predictions = None
-        if predictions is not None:
-            for spec, prediction in zip(specs, predictions):
-                payloads[spec.spec_id] = prediction_to_dict(prediction)
-            return payloads, errors
+            predictions, _ = run_unit(specs)
+        except Exception as error:  # noqa: BLE001 — isolate the poison spec below
+            fused_error = error
+        else:
+            fused = zip(specs, predictions)
+            return {spec.spec_id: prediction_to_dict(p) for spec, p in fused}, {}, None
+    payloads: dict[str, dict] = {}
+    errors: dict[str, str] = {}
     for spec in specs:
         try:
             payloads[spec.spec_id] = prediction_to_dict(spec.run())
         except Exception as error:  # noqa: BLE001 — any failure is job data
             errors[spec.spec_id] = repr(error)
-    return payloads, errors
+    return payloads, errors, fused_error
 
 
 def run_worker(
@@ -232,24 +237,29 @@ def run_worker(
             continue
         specs = [job.build_spec() for job in jobs]
         if progress:
-            if len(jobs) == 1:
-                print(
-                    f"[repro.worker {worker_id}] {jobs[0].spec_id} "
-                    f"(attempt {jobs[0].attempts}): {specs[0].describe()}",
-                    file=stream,
-                    flush=True,
-                )
-            else:
-                print(
-                    f"[repro.worker {worker_id}] batch of {len(jobs)} "
-                    f"({jobs[0].gang_key}): {specs[0].describe()}",
-                    file=stream,
-                    flush=True,
-                )
+            what = (
+                f"{jobs[0].spec_id} (attempt {jobs[0].attempts})"
+                if len(jobs) == 1
+                else f"batch of {len(jobs)} ({jobs[0].gang_key})"
+            )
+            print(
+                f"[repro.worker {worker_id}] {what}: {specs[0].describe()}",
+                file=stream,
+                flush=True,
+            )
         with _LeaseHeartbeat(
             queue, [job.spec_id for job in jobs], worker_id, lease_seconds
         ) as beat:
-            payloads, errors = _execute_specs(specs)
+            payloads, errors, fused_error = _execute_specs(specs)
+        if fused_error is not None:
+            stats.fused_fallbacks += 1
+            if progress:
+                print(
+                    f"[repro.worker {worker_id}] fused batch failed, reran "
+                    f"{len(specs)} jobs one by one: {fused_error!r}",
+                    file=stream,
+                    flush=True,
+                )
         for job, spec in zip(jobs, specs):
             if job.spec_id in errors:
                 queue.fail(job.spec_id, worker_id, errors[job.spec_id])

@@ -23,13 +23,12 @@ this package implements the required subset from scratch:
   graph, ``soa`` struct-of-arrays, ``sanitizer`` audited, ``vec``
   vectorized numpy; see :mod:`repro.simulator.engine`), selected via
   ``SimulationConfig(engine=...)``,
-* multi-point batching (:class:`~repro.simulator.batch.BatchSimulator`,
-  :func:`~repro.simulator.sweep.run_batch`): many (seed, load-point) runs
-  of one compiled network fused into a single ``vec`` kernel invocation,
-  used transparently by the sweeps when ``engine="vec"``.
+* one round loop (:func:`~repro.simulator.sweep.run_plans`) behind every
+  sweep, replay and batch: with ``engine="vec"`` it fuses many (seed,
+  load-point) runs of one compiled network into a single kernel invocation
+  (:func:`~repro.simulator.sweep.run_batch` exposes this for arbitrary
+  config batches).
 """
-
-from repro.simulator.batch import BatchSimulator
 
 from repro.simulator.engine import (
     DEFAULT_ENGINE,
@@ -65,6 +64,7 @@ from repro.simulator.sweep import (
     replay_trace,
     run_batch,
     run_load_sweep,
+    run_plans,
 )
 
 __all__ = [
@@ -96,11 +96,11 @@ __all__ = [
     "Simulator",
     "SimulationStats",
     "PhaseStats",
-    "BatchSimulator",
     "LoadSweepResult",
     "measure_zero_load_latency",
     "find_saturation_throughput",
     "replay_trace",
     "run_batch",
     "run_load_sweep",
+    "run_plans",
 ]

@@ -25,9 +25,10 @@ the :class:`~repro.simulator.engine.base.Engine` interface:
     masked array operations over every node at once, with a leading batch
     axis that fuses many ``(seed, load point)`` runs of one compiled network
     into a single kernel (:func:`~repro.simulator.engine.vec.run_batched`,
-    surfaced as :class:`~repro.simulator.batch.BatchSimulator` and the
-    batched sweep fast paths).  Bit-identical to ``reference``; fastest on
-    large networks and batched sweeps (see ``docs/PERFORMANCE.md``).
+    driven by :func:`~repro.simulator.sweep.run_plans`, which every sweep,
+    replay, batch and gang goes through).  The only engine with a batch
+    axis (``Engine.batch_axis``).  Bit-identical to ``reference``; fastest
+    on large networks and batched sweeps (see ``docs/PERFORMANCE.md``).
 
 Engines are selected by name through ``SimulationConfig(engine=...)``, which
 every launching layer threads through: ``sweep``/``replay_trace``,

@@ -64,6 +64,9 @@ class Engine(ABC):
 
     #: Registry identifier of the engine (set by subclasses).
     name: str = ""
+    #: Whether the kernel has a batch axis, so the sweeps fuse a round's
+    #: load points into one kernel (see :func:`repro.simulator.sweep.run_plans`).
+    batch_axis: bool = False
 
     def __init__(
         self,

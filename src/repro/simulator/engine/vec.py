@@ -7,7 +7,7 @@ executed as **masked array operations over every router of every batch lane
 at once** instead of per-VC Python loops.  A leading batch axis lets one
 kernel step many independent simulations of the same compiled network (one
 per ``(seed, load point)``), which is the shape of saturation sweeps and
-successive-halving rungs; see :class:`repro.simulator.batch.BatchSimulator`.
+successive-halving rungs; see :func:`repro.simulator.sweep.run_plans`.
 
 Why vectorization preserves bit-identity
 ----------------------------------------
@@ -1165,7 +1165,8 @@ def run_batched(
     :class:`~repro.simulator.network.Network` instance; each lane keeps its
     own traffic generator, phase bounds and statistics accumulator, so the
     result list is bit-identical to running each engine alone (asserted by
-    ``tests/unit/test_batch.py`` and the differential suite).
+    ``tests/unit/test_batch.py`` and the differential suite).  Its one caller
+    is :func:`repro.simulator.sweep.run_plans`.
 
     ``engines`` fixes the kernel width; ``pending`` engines are armed into
     slots as lanes finish (lane recycling), and ``on_finish(engine, stats)``
@@ -1175,12 +1176,7 @@ def run_batched(
     order.
     """
     engines = list(engines)
-    pending = list(pending)
-    if not engines:
-        if not pending:
-            return []
-        engines = [pending.pop(0)]
-    return _VecKernel(engines[0].network, engines).run(pending, on_finish)
+    return _VecKernel(engines[0].network, engines).run(list(pending), on_finish)
 
 
 class VecEngine(Engine):
@@ -1191,6 +1187,7 @@ class VecEngine(Engine):
     """
 
     name = "vec"
+    batch_axis = True
 
     def run(self) -> SimulationStats:
         return _VecKernel(self.network, [self]).run()[0]

@@ -46,7 +46,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.simulator.engine import DEFAULT_ENGINE, check_engine_name, make_engine
+from repro.simulator.engine import (
+    DEFAULT_ENGINE,
+    ENGINE_FACTORIES,
+    check_engine_name,
+    make_engine,
+)
 from repro.simulator.network import Network, NetworkConfig, build_network
 from repro.simulator.routing_tables import RoutingTables
 from repro.simulator.statistics import SimulationStats
@@ -144,6 +149,11 @@ class SimulationConfig:
                 f"packet_size_flits must be >= 1 (got {self.packet_size_flits})"
             )
 
+    @property
+    def batched(self) -> bool:
+        """Whether runs fuse into batched kernels: the engine has a batch axis."""
+        return ENGINE_FACTORIES[self.engine].batch_axis
+
     def network_config(self) -> NetworkConfig:
         """Derive the router-level configuration."""
         return NetworkConfig(
@@ -202,7 +212,9 @@ class Simulator:
                 )
             if network.config != self.config.network_config():
                 raise ValidationError(
-                    "prebuilt network was constructed with a different NetworkConfig"
+                    "prebuilt network was constructed with different "
+                    "router/network parameters (num_vcs, buffer_depth_flits, "
+                    "router_pipeline_cycles, packet_size_flits)"
                 )
             self.network = network
         else:

@@ -22,29 +22,35 @@ between points, and neither structure depends on it.  Callers that sweep the
 same topology repeatedly (e.g. the prediction toolchain) can pass prebuilt
 ``routing`` and/or ``network`` objects to skip construction entirely.
 
-Batched execution
------------------
-When ``config.engine == "vec"`` the sweeps exploit the vec engine's batch
-axis (:class:`~repro.simulator.batch.BatchSimulator`): :func:`run_load_sweep`
-fuses all rates into one kernel, and :func:`find_saturation_throughput` fuses
-the coarse bracketing stage (the bisection stays sequential — each midpoint
-depends on the previous verdict).  Batching never changes results: each lane
-is bit-identical to its solo run, and the coarse stage trims its batched
-results to exactly the points the sequential loop would have visited, so the
-returned ``points`` list — and with it every downstream consumer, including
-the experiment memoization cache shared across engines — is unchanged.
-:func:`run_batch` exposes the same fusion for arbitrary config batches
-(seed replications, mixed trace/synthetic lanes).
+One round loop
+--------------
+Every simulation is a *plan*: a generator that yields rounds (lists of
+:class:`SimulationConfig`), receives each round's statistics and returns its
+outcome — the saturation search (:func:`saturation_plan`) or a single run
+(:func:`single_plan`).  :func:`run_plans` is the only code that turns rounds
+into kernel runs.  Unbatched, it runs each config through
+``Simulator(...).run()``; batched, it fuses ready rounds into ``vec`` kernels
+(:func:`~repro.simulator.engine.vec.run_batched`) and re-arms a plan's next
+round into the running kernel.  :func:`find_saturation_throughput`,
+:func:`run_load_sweep`, :func:`replay_trace` and :func:`run_batch` are
+one-call wrappers over it, batched when the configured engine has a batch axis
+(:attr:`SimulationConfig.batched`); the gang scheduler
+(:mod:`repro.experiments.scheduler`) drives many specs' plans through it at
+once.  Batching never changes results: each lane is bit-identical to its solo
+run, and the batched coarse stage trims its results to exactly the points the
+sequential loop would have visited, so the returned ``points`` list — and with
+it every downstream consumer, including the experiment memoization cache
+shared across engines — is unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Generator, Sequence
 
-from repro.simulator.batch import BatchSimulator
+from repro.simulator.engine.vec import run_batched
 from repro.simulator.network import Network, build_network
-from repro.simulator.routing_tables import RoutingTables, build_routing_tables
+from repro.simulator.routing_tables import RoutingTables
 from repro.simulator.simulation import SimulationConfig, Simulator
 from repro.simulator.statistics import SimulationStats
 from repro.topologies.base import Link, Topology
@@ -52,6 +58,10 @@ from repro.utils.validation import ValidationError, check_in_range
 
 if TYPE_CHECKING:  # imported for type hints only; no runtime dependency
     from repro.workloads.trace import WorkloadTrace
+
+#: A plan: yields rounds of configs, is sent each round's statistics, and
+#: returns its outcome.
+Plan = Generator["list[SimulationConfig]", "list[SimulationStats]", Any]
 
 
 @dataclass
@@ -84,13 +94,12 @@ def _shared_network(
     """The network reused by every load point of one sweep.
 
     A prebuilt ``network`` wins outright (it already carries its routing
-    tables); otherwise the tables are built here — only when actually needed,
-    so the prebuilt-network fast path never pays the all-pairs BFS.
+    tables); otherwise :func:`build_network` builds the tables only when no
+    ``routing`` is given, so the prebuilt-network fast path never pays the
+    all-pairs BFS.
     """
     if network is not None:
         return network
-    if routing is None:
-        routing = build_routing_tables(topology)
     return build_network(
         topology,
         config=config.network_config(),
@@ -99,13 +108,94 @@ def _shared_network(
     )
 
 
-def _simulate(
+def single_plan(config: SimulationConfig) -> Plan:
+    """A plan of one round with one run; returns that run's statistics."""
+    (stats,) = yield [config]
+    return stats
+
+
+def run_plans(
     topology: Topology,
-    config: SimulationConfig,
     network: Network,
-) -> SimulationStats:
-    simulator = Simulator(topology, config, network=network)
-    return simulator.run()
+    plans: Sequence[Plan],
+    batched: bool,
+    traces: "Sequence[WorkloadTrace | None] | None" = None,
+    max_width: int | None = None,
+) -> tuple[list[Any], int]:
+    """Drive ``plans`` to completion on ``network``: ``(outcomes, lanes run)``.
+
+    ``traces`` (parallel to ``plans``) names the workload trace every run of
+    a plan replays.  Unbatched, each plan runs to completion in turn, one
+    ``Simulator(...).run()`` per config.  Batched, every ready lane starts
+    one :func:`~repro.simulator.engine.vec.run_batched` kernel (at most
+    ``max_width`` wide, the rest queued for recycled slots); a plan's next
+    round is re-armed into that kernel while other lanes still run, and
+    otherwise starts a new kernel sized to the ready round — so a lone
+    saturation search runs its coarse round six lanes wide.  Outcomes are
+    parallel to ``plans`` and identical either way.
+    """
+    plans = list(plans)
+    traces = list(traces) if traces is not None else [None] * len(plans)
+    outcomes: list[Any] = [None] * len(plans)
+    lanes = 0
+
+    def advance(index: int, stats: "list[SimulationStats] | None") -> list:
+        """Send plan ``index`` its round's stats; return its next round."""
+        nonlocal lanes
+        try:
+            configs = plans[index].send(stats)
+        except StopIteration as stop:
+            outcomes[index] = stop.value
+            return []
+        lanes += len(configs)
+        return configs
+
+    def simulator(index: int, config: SimulationConfig) -> Simulator:
+        return Simulator(topology, config, network=network, trace=traces[index])
+
+    if not batched:
+        for index in range(len(plans)):
+            configs = advance(index, None)
+            while configs:
+                configs = advance(
+                    index, [simulator(index, config).run() for config in configs]
+                )
+        return outcomes, lanes
+
+    round_stats: list[list] = [[] for _ in plans]
+    lane_of: dict[int, tuple[int, int]] = {}  # unfinished lanes, armed or queued
+    ready: list = []
+
+    def arm(index: int, configs: list) -> list:
+        """Vec lanes for plan ``index``'s round ``configs``."""
+        round_stats[index] = [None] * len(configs)
+        engines = []
+        for position, config in enumerate(configs):
+            engine = simulator(index, replace(config, engine="vec")).engine
+            lane_of[id(engine)] = (index, position)
+            engines.append(engine)
+        return engines
+
+    def on_finish(engine, stats: SimulationStats) -> list:
+        index, position = lane_of.pop(id(engine))
+        round_stats[index][position] = stats
+        if any(done is None for done in round_stats[index]):
+            return []
+        kernel_busy = bool(lane_of)
+        engines = arm(index, advance(index, round_stats[index]))
+        if kernel_busy:
+            return engines
+        ready.extend(engines)
+        return []
+
+    for index in range(len(plans)):
+        ready.extend(arm(index, advance(index, None)))
+    while ready:
+        engines = ready[:]
+        ready.clear()
+        width = len(engines) if max_width is None else max_width
+        run_batched(engines[:width], pending=engines[width:], on_finish=on_finish)
+    return outcomes, lanes
 
 
 def run_batch(
@@ -118,22 +208,25 @@ def run_batch(
 ) -> list[SimulationStats]:
     """Simulate many configurations of one topology in a single fused kernel.
 
-    A thin functional wrapper over
-    :class:`~repro.simulator.batch.BatchSimulator`: all lanes share one
-    compiled network (so the router-level parameters must match across
-    ``configs``) and run on the ``vec`` engine's batch axis.  The returned
-    list is parallel to ``configs`` and each entry is bit-identical to the
-    corresponding solo ``Simulator(...).run()``.
+    All lanes share one compiled network (so the router-level parameters
+    must match across ``configs``) and run on the ``vec`` engine's batch
+    axis whatever engine ``configs`` name — engines are bit-identical.
+    ``traces`` optionally gives each lane a workload trace to replay
+    (``None`` entries inject Bernoulli traffic); trace and synthetic lanes
+    batch together freely.  The returned list is parallel to ``configs`` and
+    each entry is bit-identical to the corresponding solo
+    ``Simulator(...).run()``.
     """
-    batch = BatchSimulator(
-        topology,
-        configs,
-        link_latencies=link_latencies,
-        routing=routing,
-        network=network,
-        traces=traces,
-    )
-    return batch.run()
+    if not configs:
+        raise ValidationError("run_batch needs at least one configuration")
+    if traces is not None and len(traces) != len(configs):
+        raise ValidationError(
+            f"traces must be parallel to configs: got {len(traces)} traces "
+            f"for {len(configs)} configurations"
+        )
+    network = _shared_network(topology, configs[0], link_latencies, routing, network)
+    plans = [single_plan(config) for config in configs]
+    return run_plans(topology, network, plans, batched=True, traces=traces)[0]
 
 
 def measure_zero_load_latency(
@@ -146,10 +239,10 @@ def measure_zero_load_latency(
 ) -> SimulationStats:
     """Measure the latency at a probe load low enough to avoid contention."""
     check_in_range("probe_rate", probe_rate, 0.0, 1.0)
-    base = config or SimulationConfig()
-    network = _shared_network(topology, base, link_latencies, routing, network)
-    probe_config = replace(base, injection_rate=probe_rate)
-    return _simulate(topology, probe_config, network)
+    ((_, stats),) = run_load_sweep(
+        topology, [probe_rate], config, link_latencies, routing, network
+    )
+    return stats
 
 
 def _is_saturated(
@@ -173,8 +266,8 @@ def saturation_plan(
     refine_steps: int = 3,
     max_rate: float = 1.0,
     batch_coarse: bool = False,
-):
-    """The saturation search as a resumable generator of simulation rounds.
+) -> Plan:
+    """The saturation search as a plan (see :func:`run_plans`).
 
     Yields lists of :class:`SimulationConfig` (one round of load points);
     the driver sends back the parallel list of :class:`SimulationStats`
@@ -182,31 +275,18 @@ def saturation_plan(
     :class:`LoadSweepResult` as its ``StopIteration`` value.  This decouples
     the search's control flow — probe, coarse bracket, bisection — from
     *how* the points are executed: :func:`find_saturation_throughput` runs
-    the rounds directly, while the gang scheduler
-    (:mod:`repro.experiments.scheduler`) interleaves the rounds of many
-    specs through one lane-recycled kernel.  The emitted rounds and the
-    resulting ``points`` list are identical either way.
+    one plan, while the gang scheduler (:mod:`repro.experiments.scheduler`)
+    interleaves the plans of many specs through one lane-recycled kernel.
+    The emitted rounds and the resulting ``points`` list are identical
+    either way.
 
     With ``batch_coarse`` the whole coarse stage is emitted as one round
-    (the vec engine fuses it into a single kernel); results past the first
+    (a batched run fuses it into a single kernel); results past the first
     saturated rate are trimmed exactly as the sequential walk would have
     stopped, so downstream consumers see the same points.
     """
     if coarse_steps < 2:
         raise ValidationError("coarse_steps must be >= 2")
-    return _saturation_plan(
-        base, latency_blowup, coarse_steps, refine_steps, max_rate, batch_coarse
-    )
-
-
-def _saturation_plan(
-    base: SimulationConfig,
-    latency_blowup: float,
-    coarse_steps: int,
-    refine_steps: int,
-    max_rate: float,
-    batch_coarse: bool,
-):
     points: list[tuple[float, SimulationStats]] = []
     probe_rate = min(0.01, max_rate)
     (zero_load_stats,) = yield [replace(base, injection_rate=probe_rate)]
@@ -230,31 +310,24 @@ def _saturation_plan(
         min(max_rate, 0.02 * (max_rate / 0.02) ** (step / coarse_steps))
         for step in range(1, coarse_steps + 1)
     ]
+    coarse_configs = [replace(base, injection_rate=rate) for rate in coarse_rates]
+    # Batched, the whole coarse stage is one round.  The walk below still
+    # stops at the first saturated rate, so the ``points`` list (and
+    # everything derived from it) matches the sequential loop exactly — the
+    # lanes past the break are simply discarded.
+    coarse_stats = (yield coarse_configs) if batch_coarse else None
     lo, hi = None, None
     last_good = probe_rate
-    if batch_coarse and len(coarse_rates) > 1:
-        # Batched fast path: emit the whole coarse stage as one round.  Each
-        # lane is bit-identical to its solo run, and the walk below still
-        # stops at the first saturated rate, so the ``points`` list (and
-        # everything derived from it) matches the sequential loop exactly —
-        # the lanes past the break are simply discarded.
-        coarse_stats = yield [
-            replace(base, injection_rate=rate) for rate in coarse_rates
-        ]
-        for rate, stats in zip(coarse_rates, coarse_stats):
-            points.append((rate, stats))
-            if _is_saturated(stats, zero_load_latency, latency_blowup):
-                lo, hi = last_good, rate
-                break
-            last_good = rate
-    else:
-        for rate in coarse_rates:
-            (stats,) = yield [replace(base, injection_rate=rate)]
-            points.append((rate, stats))
-            if _is_saturated(stats, zero_load_latency, latency_blowup):
-                lo, hi = last_good, rate
-                break
-            last_good = rate
+    for index, rate in enumerate(coarse_rates):
+        if batch_coarse:
+            stats = coarse_stats[index]
+        else:
+            (stats,) = yield [coarse_configs[index]]
+        points.append((rate, stats))
+        if _is_saturated(stats, zero_load_latency, latency_blowup):
+            lo, hi = last_good, rate
+            break
+        last_good = rate
     if lo is None:
         # Never saturated up to max_rate: the network sustains full injection.
         return LoadSweepResult(
@@ -298,10 +371,9 @@ def find_saturation_throughput(
     to the probe rate and the reported saturation throughput is the probe
     rate (the network sustains no less than what it was shown to carry).
 
-    The search logic lives in :func:`saturation_plan`; this function drives
-    the plan's rounds — fused through :func:`run_batch` when the configured
-    engine is ``vec`` and a round holds more than one point, sequentially
-    otherwise.
+    The search logic lives in :func:`saturation_plan`; this function runs
+    it through :func:`run_plans`, batched when the configured engine has a
+    batch axis.
     """
     base = config or SimulationConfig()
     plan = saturation_plan(
@@ -310,22 +382,11 @@ def find_saturation_throughput(
         coarse_steps=coarse_steps,
         refine_steps=refine_steps,
         max_rate=max_rate,
-        batch_coarse=base.engine == "vec",
+        batch_coarse=base.batched,
     )
     network = _shared_network(topology, base, link_latencies, routing, network)
-    response: list[SimulationStats] | None = None
-    while True:
-        try:
-            batch = plan.send(response)
-        except StopIteration as stop:
-            return stop.value
-        if base.engine == "vec" and len(batch) > 1:
-            response = run_batch(topology, batch, network=network)
-        else:
-            response = [
-                _simulate(topology, batch_config, network)
-                for batch_config in batch
-            ]
+    (sweep,), _ = run_plans(topology, network, [plan], base.batched)
+    return sweep
 
 
 def replay_trace(
@@ -376,8 +437,10 @@ def replay_trace(
         )
     base = config or SimulationConfig()
     network = _shared_network(topology, base, link_latencies, routing, network)
-    simulator = Simulator(topology, base, network=network, trace=trace)
-    return simulator.run()
+    (stats,), _ = run_plans(
+        topology, network, [single_plan(base)], base.batched, traces=[trace]
+    )
+    return stats
 
 
 def run_load_sweep(
@@ -390,21 +453,12 @@ def run_load_sweep(
 ) -> list[tuple[float, SimulationStats]]:
     """Simulate a fixed list of injection rates (latency/throughput curves).
 
-    With ``config.engine == "vec"`` all rates run as one fused batch (same
+    With a batched engine (``vec``) all rates run as one fused kernel (same
     per-point statistics, lower wall-clock); otherwise the points run
     sequentially through the configured engine.
     """
     base = config or SimulationConfig()
     network = _shared_network(topology, base, link_latencies, routing, network)
-    if base.engine == "vec" and len(rates) > 1:
-        batch_stats = run_batch(
-            topology,
-            [replace(base, injection_rate=rate) for rate in rates],
-            network=network,
-        )
-        return list(zip(rates, batch_stats))
-    results = []
-    for rate in rates:
-        stats = _simulate(topology, replace(base, injection_rate=rate), network)
-        results.append((rate, stats))
-    return results
+    plans = [single_plan(replace(base, injection_rate=rate)) for rate in rates]
+    outcomes, _ = run_plans(topology, network, plans, base.batched)
+    return list(zip(rates, outcomes))

@@ -5,24 +5,36 @@ model produces area, power and per-link latency estimates; the link latencies
 then parameterise the performance evaluation (cycle-accurate simulation or the
 fast analytical model), which yields zero-load latency and saturation
 throughput.
+
+A prediction is three steps: :meth:`PredictionToolchain.plan` turns it into a
+simulation plan (none in analytical mode, the saturation search, or one
+trace-replay round), :func:`~repro.simulator.sweep.run_plans` runs the plan,
+and :meth:`PredictionToolchain.assemble` builds the
+:class:`~repro.toolchain.results.PredictionResult`.  :meth:`predict` chains
+them for one topology; the gang scheduler
+(:mod:`repro.experiments.scheduler`) runs many specs' plans in one kernel and
+assembles each result the same way.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.physical.model import NoCPhysicalModel
+from repro.physical.model import NoCPhysicalModel, PhysicalModelResult
 from repro.physical.parameters import ArchitecturalParameters
 from repro.simulator.network import build_network
 from repro.simulator.routing_tables import RoutingTables, build_routing_tables
 from repro.simulator.simulation import SimulationConfig
-from repro.simulator.sweep import find_saturation_throughput, replay_trace
+from repro.simulator.sweep import Plan, run_plans, saturation_plan, single_plan
 from repro.toolchain.analytical import analytical_performance
 from repro.toolchain.results import PredictionResult
 from repro.topologies.base import Topology
 from repro.utils.validation import ValidationError
+
+if TYPE_CHECKING:  # imported for type hints only; no runtime dependency
+    from repro.workloads.trace import WorkloadTrace
 
 
 @dataclass
@@ -101,71 +113,55 @@ class PredictionToolchain:
         self._routing_cache[key] = (weakref.ref(topology), routing)
         return routing
 
-    def predict(self, topology: Topology, traffic: str | None = None) -> PredictionResult:
-        """Predict cost and performance of ``topology`` on this architecture.
+    def plan(
+        self, topology: Topology, traffic: str, batched: bool
+    ) -> "tuple[Plan, WorkloadTrace | None] | None":
+        """The simulation plan of one prediction and the trace it replays.
 
-        ``traffic`` overrides the toolchain's default traffic pattern for this
-        call only (used by campaign sweeps that vary the pattern while keeping
-        the architecture fixed).
+        ``None`` in analytical mode; one replay round for a trace-driven
+        workload; otherwise the saturation search under ``traffic``, with
+        its coarse stage in one round when the plan will run ``batched``.
         """
-        physical = self._physical_model.evaluate(topology)
-        routing = self.routing_for(topology)
-        traffic = self.traffic if traffic is None else traffic
-
+        config = self.simulation_config
         if self.workload is not None:
             from repro.workloads.generators import workload_trace_from_mapping
 
             trace = workload_trace_from_mapping(
                 dict(self.workload), topology.rows, topology.cols
             )
-            stats = replay_trace(
-                topology,
-                trace,
-                config=self.simulation_config,
-                link_latencies=physical.link_latencies,
-                routing=routing,
-            )
+            return single_plan(config), trace
+        if self.performance_mode != "simulation":
+            return None
+        if traffic != config.traffic:
+            config = replace(config, traffic=traffic)
+        return saturation_plan(config, batch_coarse=batched), None
+
+    def assemble(
+        self, topology: Topology, physical: PhysicalModelResult, outcome: Any
+    ) -> PredictionResult:
+        """The :class:`PredictionResult` of ``topology`` from its performance outcome.
+
+        ``outcome`` is what the performance stage produced: the replay's
+        :class:`~repro.simulator.statistics.SimulationStats` for a workload,
+        the saturation search's
+        :class:`~repro.simulator.sweep.LoadSweepResult` in simulation mode,
+        or the analytical model's result.
+        """
+        if self.workload is not None:
             # Trace replays have no load sweep: report the replay's average
             # packet latency in the latency slot and its accepted load in
             # the throughput slot (both documented on the workload field).
-            zero_load = stats.average_packet_latency
-            saturation = stats.accepted_load
-            details = {"replay": stats, "workload": dict(self.workload)}
+            zero_load = outcome.average_packet_latency
+            saturation = outcome.accepted_load
+            details = {"replay": outcome, "workload": dict(self.workload)}
         elif self.performance_mode == "simulation":
-            config = self.simulation_config
-            if traffic != config.traffic:
-                config = replace(config, traffic=traffic)
-            # Build the simulation network once up front (with the physical
-            # model's link latencies baked in) so that every load point of
-            # the sweep shares it — and with it the compiled routing arrays.
-            network = build_network(
-                topology,
-                config=config.network_config(),
-                link_latencies=physical.link_latencies,
-                routing=routing,
-            )
-            sweep = find_saturation_throughput(
-                topology,
-                config=config,
-                routing=routing,
-                network=network,
-            )
-            zero_load = sweep.zero_load_latency
-            saturation = sweep.saturation_throughput
-            details = {"sweep_points": [(rate, stats) for rate, stats in sweep.points]}
+            zero_load = outcome.zero_load_latency
+            saturation = outcome.saturation_throughput
+            details = {"sweep_points": list(outcome.points)}
         else:
-            analytical = analytical_performance(
-                topology,
-                link_latencies=physical.link_latencies,
-                routing=routing,
-                traffic=traffic,
-                packet_size_flits=self.simulation_config.packet_size_flits,
-                router_pipeline_cycles=self.simulation_config.router_pipeline_cycles,
-            )
-            zero_load = analytical.zero_load_latency_cycles
-            saturation = analytical.saturation_throughput
-            details = {"analytical": analytical}
-
+            zero_load = outcome.zero_load_latency_cycles
+            saturation = outcome.saturation_throughput
+            details = {"analytical": outcome}
         return PredictionResult(
             topology_name=topology.name,
             area_overhead=physical.area_overhead,
@@ -177,6 +173,43 @@ class PredictionToolchain:
             physical=physical,
             details=details,
         )
+
+    def predict(self, topology: Topology, traffic: str | None = None) -> PredictionResult:
+        """Predict cost and performance of ``topology`` on this architecture.
+
+        ``traffic`` overrides the toolchain's default traffic pattern for this
+        call only (used by campaign sweeps that vary the pattern while keeping
+        the architecture fixed).
+        """
+        physical = self._physical_model.evaluate(topology)
+        routing = self.routing_for(topology)
+        traffic = self.traffic if traffic is None else traffic
+        batched = self.simulation_config.batched
+        planned = self.plan(topology, traffic, batched)
+        if planned is None:
+            outcome = analytical_performance(
+                topology,
+                link_latencies=physical.link_latencies,
+                routing=routing,
+                traffic=traffic,
+                packet_size_flits=self.simulation_config.packet_size_flits,
+                router_pipeline_cycles=self.simulation_config.router_pipeline_cycles,
+            )
+        else:
+            plan, trace = planned
+            # One network (with the physical model's link latencies baked
+            # in) serves every run of the plan, and with it the compiled
+            # routing arrays.
+            network = build_network(
+                topology,
+                config=self.simulation_config.network_config(),
+                link_latencies=physical.link_latencies,
+                routing=routing,
+            )
+            (outcome,), _ = run_plans(
+                topology, network, [plan], batched, traces=[trace]
+            )
+        return self.assemble(topology, physical, outcome)
 
     def __call__(self, topology: Topology, traffic: str | None = None) -> PredictionResult:
         """Alias for :meth:`predict` (lets the toolchain act as a plain predictor)."""

@@ -1,4 +1,4 @@
-"""Batched simulation: ``BatchSimulator``/``run_batch`` vs sequential runs.
+"""Batched simulation: ``run_batch`` and ``run_plans`` vs sequential runs.
 
 The vec engine's batch axis fuses many (seed, load-point) runs of one
 compiled network into a single kernel.  Batching must be *purely* a
@@ -15,7 +15,8 @@ import dataclasses
 
 import pytest
 
-from repro.simulator.batch import BatchSimulator
+import repro.simulator.sweep as sweep_module
+from repro.simulator.engine import vec as vec_module
 from repro.simulator.network import build_network
 from repro.simulator.simulation import SimulationConfig, Simulator
 from repro.simulator.sweep import (
@@ -32,6 +33,34 @@ from repro.workloads import make_workload_trace
 
 def _stats_dict(stats):
     return dataclasses.asdict(stats)
+
+
+@pytest.fixture
+def kernel_lanes(monkeypatch):
+    """The lanes of every ``run_batched`` kernel, one list per kernel."""
+    kernels = []
+    original = sweep_module.run_batched
+
+    def recording(engines, pending=(), on_finish=None):
+        kernels.append(list(engines) + list(pending))
+        return original(engines, pending=pending, on_finish=on_finish)
+
+    monkeypatch.setattr(sweep_module, "run_batched", recording)
+    return kernels
+
+
+@pytest.fixture
+def kernel_widths(monkeypatch):
+    """The batch width of every ``_VecKernel`` built."""
+    widths = []
+    original = vec_module._VecKernel.__init__
+
+    def recording(self, network, lanes):
+        widths.append(len(lanes))
+        original(self, network, lanes)
+
+    monkeypatch.setattr(vec_module._VecKernel, "__init__", recording)
+    return widths
 
 
 def _config(**overrides):
@@ -61,7 +90,7 @@ def test_batched_lanes_match_sequential_runs():
             (0.10, 2, "tornado"),
         ]
     ]
-    batched = BatchSimulator(topology, configs).run()
+    batched = run_batch(topology, configs)
     assert len(batched) == len(configs)
     for config, stats in zip(configs, batched):
         solo = Simulator(topology, dataclasses.replace(config, engine="vec")).run()
@@ -103,35 +132,36 @@ def test_batch_mixes_trace_and_synthetic_lanes():
     assert batched[0].phases
 
 
-def test_batch_ignores_lane_engine_field():
+def test_batch_ignores_lane_engine_field(kernel_lanes):
     # The fused kernel is the vec engine; lanes asking for other (bit-
     # identical) engines are batched anyway.
     topology = MeshTopology(3, 3)
     configs = [_config(engine="reference"), _config(engine="soa", seed=8)]
-    batch = BatchSimulator(topology, configs)
-    assert all(sim.config.engine == "vec" for sim in batch.simulators)
-    batched = batch.run()
+    batched = run_batch(topology, configs)
+    (lanes,) = kernel_lanes
+    assert all(lane.config.engine == "vec" for lane in lanes)
     for config, stats in zip(configs, batched):
         assert _stats_dict(stats) == _stats_dict(Simulator(topology, config).run())
 
 
-def test_batch_shares_prebuilt_network():
+def test_batch_shares_prebuilt_network(kernel_lanes):
     topology = MeshTopology(3, 3)
     config = _config()
     network = build_network(topology, config=config.network_config())
-    batch = BatchSimulator(topology, [config, _config(seed=2)], network=network)
-    assert batch.network is network
-    assert all(sim.network is network for sim in batch.simulators)
+    run_batch(topology, [config, _config(seed=2)], network=network)
+    (lanes,) = kernel_lanes
+    assert len(lanes) == 2
+    assert all(lane.network is network for lane in lanes)
 
 
 def test_batch_rejects_empty_and_mismatched_inputs():
     topology = MeshTopology(3, 3)
     with pytest.raises(ValidationError):
-        BatchSimulator(topology, [])
+        run_batch(topology, [])
     with pytest.raises(ValidationError, match="router/network parameters"):
-        BatchSimulator(topology, [_config(num_vcs=4), _config(num_vcs=2)])
+        run_batch(topology, [_config(num_vcs=4), _config(num_vcs=2)])
     with pytest.raises(ValidationError, match="parallel"):
-        BatchSimulator(topology, [_config()], traces=[None, None])
+        run_batch(topology, [_config()], traces=[None, None])
 
 
 def test_run_load_sweep_vec_fast_path_matches_sequential():
@@ -175,3 +205,13 @@ def test_find_saturation_vec_fast_path_matches_sequential():
     ]
     for (_, stats_a), (_, stats_b) in zip(sequential.points, batched.points):
         assert _stats_dict(stats_a) == _stats_dict(stats_b)
+
+
+def test_solo_vec_search_runs_coarse_round_in_one_six_lane_kernel(kernel_widths):
+    # The probe runs alone; once it drains, the whole coarse round starts a
+    # new kernel six lanes wide instead of queueing behind a one-lane one.
+    topology = MeshTopology(4, 4)
+    base = _config(engine="vec", measurement_cycles=100, drain_max_cycles=400)
+    find_saturation_throughput(topology, config=base, coarse_steps=6, refine_steps=3)
+    # probe, coarse round, three bisection midpoints
+    assert kernel_widths == [1, 6, 1, 1, 1]

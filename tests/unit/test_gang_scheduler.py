@@ -21,7 +21,6 @@ from repro.experiments.scheduler import (
     gang_key,
     gang_key_id,
     plan_gangs,
-    run_gang,
     run_gang_detailed,
 )
 from repro.experiments.serialization import prediction_to_dict
@@ -83,9 +82,6 @@ def test_plan_gangs_filters_engines_and_singletons():
     soa = [sim_spec(5, engine="soa"), sim_spec(6, engine="soa")]
     gangs = plan_gangs(mesh + torus + soa + [analytical_spec()])
     assert gangs == [mesh]
-    # A wider engine allow-list opts the soa pair in too.
-    gangs = plan_gangs(mesh + soa, engines=("vec", "soa"))
-    assert gangs == [mesh + soa]
 
 
 # --------------------------------------------------------- fused execution
@@ -96,7 +92,7 @@ def test_run_gang_matches_sequential_bit_for_bit():
         sim_spec(2),
         sim_spec(3, workload={"name": "onoff", "seed": 5}),
     ]
-    fused = run_gang(specs)
+    fused, _ = run_gang_detailed(specs)
     sequential = [spec.run() for spec in specs]
     for spec, got, want in zip(specs, fused, sequential):
         assert payload(got) == payload(want), spec.label
@@ -112,18 +108,20 @@ def test_run_gang_matches_sequential_bit_for_bit():
 
 def test_run_gang_rejects_incompatible_specs():
     with pytest.raises(ValidationError):
-        run_gang([sim_spec(1), sim_spec(2, topology="torus")])
+        run_gang_detailed([sim_spec(1), sim_spec(2, topology="torus")])
     with pytest.raises(ValidationError):
-        run_gang([analytical_spec()])
+        run_gang_detailed([analytical_spec()])
 
 
 def test_run_gang_lane_recycling_is_width_invariant():
     """A narrow kernel drains lanes in a different order; results must not move."""
     specs = [sim_spec(seed) for seed in (11, 7, 23)]
     wide, wide_lanes = run_gang_detailed(specs, max_width=DEFAULT_MAX_WIDTH)
+    # 3 probes + 3 six-lane coarse rounds + 9 bisection midpoints.
+    assert wide_lanes == 30
     for width in (1, 2, 3):
         narrow, narrow_lanes = run_gang_detailed(specs, max_width=width)
-        assert narrow_lanes == wide_lanes
+        assert narrow_lanes == wide_lanes == 30
         for spec, got, want in zip(specs, narrow, wide):
             assert payload(got) == payload(want), (width, spec.label)
 

@@ -120,3 +120,25 @@ def test_invalid_entries_warn_once_per_cache(tmp_path):
     cache_warnings = [w for w in caught if "invalid cache entry" in str(w.message)]
     assert len(cache_warnings) == 1
     assert runner.cache.invalid_entries == 2
+
+
+def test_finished_units_persist_when_a_later_unit_crashes(tmp_path, monkeypatch):
+    from repro.toolchain.predict import PredictionToolchain
+
+    first, second = spec_for("mesh"), spec_for("torus")
+    original = PredictionToolchain.predict
+    calls = []
+
+    def crash_on_second_unit(self, topology, traffic=None):
+        calls.append(topology.name)
+        if len(calls) == 2:
+            raise RuntimeError("second unit crashed")
+        return original(self, topology, traffic=traffic)
+
+    monkeypatch.setattr(PredictionToolchain, "predict", crash_on_second_unit)
+    with pytest.raises(RuntimeError, match="second unit crashed"):
+        ExperimentRunner(cache_dir=tmp_path).run([first, second])
+    monkeypatch.undo()
+
+    again = ExperimentRunner(cache_dir=tmp_path).run([first, second])
+    assert [result.cached for result in again] == [True, False]

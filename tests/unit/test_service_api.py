@@ -197,7 +197,9 @@ def test_background_worker_drains_posted_miss(tmp_path):
         deadline = time.time() + 30.0
         while time.time() < deadline:
             code, body = get(f"{base}/status?spec_id={miss.spec_id}")
-            if code == 200 and body.get("stored"):
+            # The worker stores the result before it marks the job done, so
+            # wait for both rather than reading between the two writes.
+            if code == 200 and body.get("stored") and body["job"]["status"] == "done":
                 break
             time.sleep(0.1)
         assert body["stored"] is True

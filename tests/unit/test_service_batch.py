@@ -9,6 +9,7 @@ migrate to the gang-aware v2 schema.
 
 from __future__ import annotations
 
+import io
 import json
 import sqlite3
 import threading
@@ -182,13 +183,17 @@ def test_batch_worker_falls_back_per_spec_on_fused_failure(tmp_path, monkeypatch
     def explode(specs):
         raise RuntimeError("fused kernel blew up")
 
-    monkeypatch.setattr(worker_module, "run_gang", explode)
+    monkeypatch.setattr(worker_module, "run_unit", explode)
     queue = WorkQueue(tmp_path / "store.sqlite")
     specs = [sim_spec(i) for i in (1, 2)]
     for spec in specs:
         queue.enqueue(spec)
-    stats = run_worker(queue, worker_id="w", batch_size=2)
+    stream = io.StringIO()
+    stats = run_worker(queue, worker_id="w", batch_size=2, progress=True, stream=stream)
     # The fused attempt failed, but every job still completed solo.
     assert stats.computed == len(specs) and stats.failed == 0
+    assert stats.fused_fallbacks == 1
+    assert "1 fused fallback(s)" in stats.summary()
+    assert "RuntimeError('fused kernel blew up')" in stream.getvalue()
     for spec in specs:
         assert queue.store.get(spec.spec_id) is not None
