@@ -5,9 +5,9 @@ This example shows the batch-first workflow of :mod:`repro.experiments`:
 
 1. expand a cartesian grid (topologies x traffic patterns) into experiment
    specs — inapplicable topology/size combinations are filtered automatically;
-2. run the campaign through an :class:`ExperimentRunner` with an on-disk
-   cache, then run it again to show that every result is served from the
-   cache (the ``spec_id`` content hash is the memoization key);
+2. run the campaign through an :class:`ExperimentRunner` with a SQLite
+   result store, then run it again to show that every result is served from
+   the store (the ``spec_id`` content hash is the memoization key);
 3. save the campaign as JSON — the exact file ``repro campaign --spec ...``
    consumes — and export the results as CSV records.
 
@@ -38,8 +38,7 @@ def main() -> None:
     print()
 
     with tempfile.TemporaryDirectory() as tmp:
-        cache_dir = Path(tmp) / "cache"
-        runner = ExperimentRunner(cache_dir=cache_dir)
+        runner = ExperimentRunner(store=Path(tmp) / "results.sqlite")
 
         results = runner.run(campaign)
         print(f"first run:  {len(results)} results, {results.num_cached} from cache")

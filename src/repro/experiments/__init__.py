@@ -9,13 +9,11 @@ The subsystem has four layers:
   expansion over topologies x sizes x traffic x modes x scenarios with
   automatic applicability filtering, plus :func:`figure6_campaign`;
 * :mod:`repro.experiments.runner` — :class:`ExperimentRunner` (serial or
-  process-parallel execution with on-disk memoization by ``spec_id``) and
-  :class:`ResultSet` (tabular export and Pareto/compliance helpers);
-* :mod:`repro.experiments.cache` — pluggable memoization backends: the
-  atomic, validated :class:`DirectoryCache` and (via
-  :mod:`repro.service.store`) the durable SQLite result store;
+  process-parallel execution, memoized by ``spec_id`` in the SQLite result
+  store of :mod:`repro.service.store`) and :class:`ResultSet` (tabular
+  export and Pareto/compliance helpers);
 * :mod:`repro.experiments.serialization` — the JSON prediction payload
-  shared by caches, worker processes, the service store, and the HTTP API;
+  shared by worker processes, the service store, and the HTTP API;
 * :mod:`repro.experiments.cli` — the ``repro`` console script.
 
 The declarative search layer lives in :mod:`repro.optimize`; its
@@ -25,7 +23,6 @@ surface.
 """
 
 from repro.experiments.spec import ExperimentSpec, PROTOCOL_PRESETS
-from repro.experiments.cache import DirectoryCache
 from repro.experiments.campaign import Campaign, figure6_campaign
 from repro.experiments.runner import (
     ExperimentResult,
@@ -42,7 +39,6 @@ __all__ = [
     "PROTOCOL_PRESETS",
     "Campaign",
     "figure6_campaign",
-    "DirectoryCache",
     "ExperimentResult",
     "ExperimentRunner",
     "ResultSet",

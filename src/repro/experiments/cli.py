@@ -61,11 +61,12 @@ Every subcommand that launches cycle-accurate simulations (``predict``,
 ``replay``, ``campaign``, ``optimize``) accepts ``--engine`` to pick the
 simulation kernel (``reference``, ``soa``, ``sanitizer`` or ``vec``; all
 are bit-identical, so the choice only affects speed and checking — ``vec``
-additionally batches sweep load points into one fused kernel), and either
-``--cache-dir`` (per-spec JSON files) or ``--store`` (the durable SQLite
-result store) for memoization.  ``repro --version`` prints the installed
-package version.  ``campaign`` and ``optimize`` report per-experiment
-progress on stderr when it is a terminal.
+additionally batches sweep load points into one fused kernel).  ``predict``,
+``campaign``, ``figure6`` and ``optimize`` memoize results in the durable
+SQLite result store named by ``--store``.  Flags shared by several
+subcommands are declared once, as parent parsers (see :func:`build_parser`).
+``repro --version`` prints the installed package version.  ``campaign`` and
+``optimize`` report per-experiment progress on stderr when it is a terminal.
 
 The console script is registered in ``setup.py``; without installing, use
 ``PYTHONPATH=src python -m repro.experiments.cli ...``.
@@ -117,6 +118,10 @@ def _print_table(rows: list[dict[str, Any]]) -> None:
         print(" | ".join(str(row[c]).ljust(widths[c]) for c in columns))
 
 
+def _print_json(payload: Any) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
 def _result_rows(results: ResultSet) -> list[dict[str, Any]]:
     rows = []
     for record in results.to_records():
@@ -138,16 +143,23 @@ def _result_rows(results: ResultSet) -> list[dict[str, Any]]:
     return rows
 
 
-def _emit_results(results: ResultSet, args: argparse.Namespace) -> None:
-    if getattr(args, "json_out", None):
+def _emit_results(
+    results: ResultSet, args: argparse.Namespace, table: bool = True
+) -> None:
+    """Apply the ``--json-out``/``--csv``/``--json`` export flags.
+
+    Without ``--json`` the results are printed as a table (unless ``table``
+    is false, for callers that printed their own).
+    """
+    if args.json_out:
         results.to_json(args.json_out)
         print(f"wrote {len(results)} results to {args.json_out}")
-    if getattr(args, "csv", None):
+    if args.csv:
         results.to_csv(args.csv)
         print(f"wrote {len(results)} results to {args.csv}")
-    if getattr(args, "as_json", False):
+    if args.as_json:
         print(results.to_json(), end="")
-    else:
+    elif table:
         _print_table(_result_rows(results))
         if results.num_cached:
             print(f"({results.num_cached}/{len(results)} results served from cache)")
@@ -168,71 +180,23 @@ def _cmd_list_topologies(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_list_traffic(args: argparse.Namespace) -> int:
-    patterns = available_traffic_patterns()
+#: ``repro list-*`` subcommands that print the names of one registry:
+#: command -> (help, registry listing).
+_NAME_LISTS = {
+    "list-traffic": ("list registered traffic patterns", available_traffic_patterns),
+    "list-workloads": ("list registered workload generators", available_workloads),
+    "list-engines": ("list registered simulation engines", available_engines),
+}
+
+
+def _cmd_list_names(args: argparse.Namespace) -> int:
+    names = _NAME_LISTS[args.command][1]()
     if args.as_json:
-        print(json.dumps(patterns, indent=2))
-    else:
-        for name in patterns:
-            print(name)
-    return 0
-
-
-def _cmd_list_workloads(args: argparse.Namespace) -> int:
-    names = available_workloads()
-    if args.as_json:
-        print(json.dumps(names, indent=2))
-    else:
-        for name in names:
-            print(name)
-    return 0
-
-
-def _cmd_list_engines(args: argparse.Namespace) -> int:
-    names = available_engines()
-    if args.as_json:
-        print(json.dumps(names, indent=2))
+        _print_json(names)
     else:
         for name in names:
             print(name)
     return 0
-
-
-def _merge_engine(
-    sim_overrides: dict[str, Any],
-    engine: str | None,
-    audit_interval: int | None = None,
-) -> dict[str, Any]:
-    """Apply ``--engine``/``--audit-interval`` flags on top of ``--sim`` JSON.
-
-    The flags win over conflicting entries in the JSON — the explicit flag
-    is the more specific spelling.  Both knobs are excluded from spec
-    identity (engines are bit-identical; the sanitizer audit only reads
-    state), so neither splits the memoization key space.
-    """
-    if engine:
-        sim_overrides = {**sim_overrides, "engine": engine}
-    if audit_interval is not None:
-        sim_overrides = {**sim_overrides, "audit_interval": audit_interval}
-    return sim_overrides
-
-
-def _progress_enabled() -> bool:
-    """Progress lines are only useful (and only emitted) on a live terminal."""
-    return sys.stderr.isatty()
-
-
-def _build_runner(args: argparse.Namespace, search_id: str | None = None) -> ExperimentRunner:
-    """Runner with the memoization backend the flags selected.
-
-    ``--cache-dir`` picks the per-spec JSON directory cache, ``--store`` the
-    durable SQLite result store; passing both is rejected by the runner.
-    """
-    return ExperimentRunner(
-        cache_dir=args.cache_dir,
-        store=getattr(args, "store", None),
-        search_id=search_id,
-    )
 
 
 def _json_object(text: str, flag: str) -> dict[str, Any]:
@@ -241,6 +205,42 @@ def _json_object(text: str, flag: str) -> dict[str, Any]:
     if not isinstance(value, dict):
         raise ValidationError(f"{flag} must be a JSON object, got {value!r}")
     return value
+
+
+def _merge_engine(args: argparse.Namespace) -> dict[str, Any]:
+    """``--sim`` JSON with the ``--engine``/``--audit-interval`` flags on top.
+
+    :func:`main` stores the result as ``args.sim_overrides`` for every
+    subcommand with the engine flags; ``campaign`` has no ``--sim``, so its
+    overrides are just the flags, applied to each spec of the campaign.
+    The flags win over conflicting entries in the JSON — the explicit flag
+    is the more specific spelling.  Both knobs are excluded from spec
+    identity (engines are bit-identical; the sanitizer audit only reads
+    state), so neither splits the memoization key space.
+    """
+    sim_overrides = _json_object(getattr(args, "sim", "{}"), "--sim")
+    if args.engine:
+        sim_overrides["engine"] = args.engine
+    if args.audit_interval is not None:
+        sim_overrides["audit_interval"] = args.audit_interval
+    return sim_overrides
+
+
+def _workload_arg(text: str) -> dict[str, Any]:
+    """``--workload``: a JSON workload spec or a bare registry name."""
+    if text.lstrip().startswith(("{", "[", '"')):
+        # Looks like JSON: parse strictly so a typo in a long
+        # {name, seed, params} spec surfaces as a JSON error, not as a
+        # bogus registry-name miss.
+        workload = json.loads(text)
+    else:
+        workload = text
+    return {"name": workload} if isinstance(workload, str) else workload
+
+
+def _progress_enabled() -> bool:
+    """Progress lines are only useful (and only emitted) on a live terminal."""
+    return sys.stderr.isatty()
 
 
 def _build_trace(args: argparse.Namespace) -> WorkloadTrace:
@@ -282,48 +282,36 @@ def _cmd_gen_trace(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     trace = _build_trace(args)
-    try:
-        topology = make_topology(
-            args.topology,
-            args.rows,
-            args.cols,
-            **_json_object(args.topology_kwargs, "--topology-kwargs"),
-        )
-    except TypeError as error:
-        # An unknown generator kwarg must exit 2 like every other bad input.
-        raise ValidationError(
-            f"invalid topology kwargs for {args.topology!r}: {error}"
-        ) from error
-    sim_overrides = _merge_engine(
-        _json_object(args.sim, "--sim"), args.engine, args.audit_interval
+    topology = make_topology(
+        args.topology,
+        args.rows,
+        args.cols,
+        **_json_object(args.topology_kwargs, "--topology-kwargs"),
     )
+    sim_overrides = args.sim_overrides
     if "traffic" in sim_overrides:
         raise ValidationError("trace replay ignores synthetic traffic; drop 'traffic'")
     check_sim_overrides(sim_overrides)
     stats = replay_trace(topology, trace, config=SimulationConfig(**sim_overrides))
     phases = phase_records(stats)
     if args.as_json:
-        print(
-            json.dumps(
-                {
-                    "trace": {
-                        "name": trace.name,
-                        "trace_id": trace.trace_id,
-                        "num_packets": trace.num_packets,
-                        "duration": trace.duration,
-                    },
-                    "topology": topology.name,
-                    "average_packet_latency": stats.average_packet_latency,
-                    "p99_packet_latency": stats.p99_packet_latency,
-                    "accepted_load": stats.accepted_load,
-                    "offered_load": stats.offered_load,
-                    "packets_delivered": stats.packets_delivered,
-                    "drained": stats.drained,
-                    "phases": phases,
+        _print_json(
+            {
+                "trace": {
+                    "name": trace.name,
+                    "trace_id": trace.trace_id,
+                    "num_packets": trace.num_packets,
+                    "duration": trace.duration,
                 },
-                indent=2,
-                sort_keys=True,
-            )
+                "topology": topology.name,
+                "average_packet_latency": stats.average_packet_latency,
+                "p99_packet_latency": stats.p99_packet_latency,
+                "accepted_load": stats.accepted_load,
+                "offered_load": stats.offered_load,
+                "packets_delivered": stats.packets_delivered,
+                "drained": stats.drained,
+                "phases": phases,
+            }
         )
         return 0
     print(
@@ -389,27 +377,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
         ]
 
-    reports = []
-    for key, rows, cols, kwargs in targets:
-        try:
-            topology = make_topology(key, rows, cols, **kwargs)
-        except TypeError as error:
-            raise ValidationError(
-                f"invalid topology kwargs for {key!r}: {error}"
-            ) from error
-        report = verify_topology(topology)
-        reports.append((key, rows, cols, report))
+    reports = [
+        (key, rows, cols, verify_topology(make_topology(key, rows, cols, **kwargs)))
+        for key, rows, cols, kwargs in targets
+    ]
 
     if args.as_json:
-        print(
-            json.dumps(
-                [
-                    {"key": key, "rows": rows, "cols": cols, **report.to_dict()}
-                    for key, rows, cols, report in reports
-                ],
-                indent=2,
-                sort_keys=True,
-            )
+        _print_json(
+            [
+                {"key": key, "rows": rows, "cols": cols, **report.to_dict()}
+                for key, rows, cols, report in reports
+            ]
         )
     else:
         for key, rows, cols, report in reports:
@@ -428,20 +406,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     violations = run_lint(args.root)
     if args.as_json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "path": violation.path,
-                        "line": violation.line,
-                        "rule": violation.rule,
-                        "message": violation.message,
-                    }
-                    for violation in violations
-                ],
-                indent=2,
-                sort_keys=True,
-            )
+        _print_json(
+            [
+                {
+                    "path": violation.path,
+                    "line": violation.line,
+                    "rule": violation.rule,
+                    "message": violation.message,
+                }
+                for violation in violations
+            ]
         )
     else:
         for violation in violations:
@@ -455,45 +429,28 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    workload = None
-    if args.workload:
-        if args.workload.lstrip().startswith(("{", "[", '"')):
-            # Looks like JSON: parse strictly so a typo in a long
-            # {name, seed, params} spec surfaces as a JSON error, not as a
-            # bogus registry-name miss.
-            workload = json.loads(args.workload)
-        else:
-            workload = args.workload  # bare registry name
-        if isinstance(workload, str):
-            workload = {"name": workload}
+    workload = _workload_arg(args.workload) if args.workload else None
     spec = ExperimentSpec(
         topology=args.topology,
         rows=args.rows,
         cols=args.cols,
-        topology_kwargs=json.loads(args.topology_kwargs),
+        topology_kwargs=_json_object(args.topology_kwargs, "--topology-kwargs"),
         scenario=args.scenario,
-        arch=json.loads(args.arch),
+        arch=_json_object(args.arch, "--arch"),
         traffic=args.traffic,
         performance_mode="simulation" if workload is not None else args.mode,
-        sim=_merge_engine(
-            _json_object(args.sim, "--sim"), args.engine, args.audit_interval
-        ),
+        sim=args.sim_overrides,
         workload=workload,
     )
-    runner = _build_runner(args)
-    results = runner.run(spec)
+    results = ExperimentRunner(store=args.store).run(spec)
     if args.as_json:
-        print(
-            json.dumps(
-                {
-                    "spec_id": spec.spec_id,
-                    "spec": spec.to_dict(),
-                    "result": prediction_to_dict(results[0].prediction),
-                    "cached": results[0].cached,
-                },
-                indent=2,
-                sort_keys=True,
-            )
+        _print_json(
+            {
+                "spec_id": spec.spec_id,
+                "spec": spec.to_dict(),
+                "result": prediction_to_dict(results[0].prediction),
+                "cached": results[0].cached,
+            }
         )
     else:
         print(f"spec {spec.spec_id}: {spec.describe()}")
@@ -503,19 +460,18 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     campaign = Campaign.load(args.spec)
-    runner = _build_runner(args)
     specs = list(campaign.specs)
-    if args.engine or args.audit_interval is not None:
+    if args.sim_overrides:
         # Thread the engine through every spec of the campaign; the engine
         # (and the sanitizer's audit interval) is excluded from spec_id, so
         # memoized results stay shared.
         specs = [
-            spec.with_overrides(
-                sim=_merge_engine(dict(spec.sim), args.engine, args.audit_interval)
-            )
+            spec.with_overrides(sim={**spec.sim, **args.sim_overrides})
             for spec in specs
         ]
-    results = runner.run(specs, parallel=args.parallel, progress=_progress_enabled())
+    results = ExperimentRunner(store=args.store).run(
+        specs, parallel=args.parallel, progress=_progress_enabled()
+    )
     if not args.as_json:
         print(f"campaign {campaign.name!r}: {len(campaign)} experiments")
     _emit_results(results, args)
@@ -524,7 +480,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_figure6(args: argparse.Namespace) -> int:
     keys = sorted(KNC_SCENARIOS) if args.scenario == "all" else [args.scenario]
-    runner = _build_runner(args)
+    runner = ExperimentRunner(store=args.store)
     combined: list[Any] = []
     for key in keys:
         scenario = KNC_SCENARIOS[key]
@@ -541,15 +497,7 @@ def _cmd_figure6(args: argparse.Namespace) -> int:
         print()
     # Exports cover every requested panel in one file (not one file per
     # panel overwriting the last), and --json emits a single JSON document.
-    all_results = ResultSet(combined)
-    if args.json_out:
-        all_results.to_json(args.json_out)
-        print(f"wrote {len(all_results)} results to {args.json_out}")
-    if args.csv:
-        all_results.to_csv(args.csv)
-        print(f"wrote {len(all_results)} results to {args.csv}")
-    if args.as_json:
-        print(all_results.to_json(), end="")
+    _emit_results(ResultSet(combined), args, table=False)
     return 0
 
 
@@ -564,38 +512,15 @@ DEFAULT_SEARCH_SPACE = {
 }
 
 
-#: ``repro optimize`` flags that define the search itself (as opposed to how
-#: it executes); a --spec file already fixes all of them, so combining the
-#: two would silently ignore whichever the user thinks won.
-_OPTIMIZE_SPEC_FLAG_DEFAULTS = {
-    "rows": 0,
-    "cols": 0,
-    "space": None,  # compared against the parser default below
-    "objective": "zero_load_latency",
-    "workload": None,
-    "phase": None,
-    "scenario": None,
-    "arch": "{}",
-    "sim": "{}",
-    "engine": None,
-    "traffic": "uniform",
-    "max_area_overhead": None,
-    "max_power": None,
-    "max_link_length": None,
-    "survivors": 6,
-    "seed": 0,
-    "baseline": "mesh",
-}
-
-
 def _build_search_spec(args: argparse.Namespace) -> SearchSpec:
     """Assemble the :class:`SearchSpec` from ``repro optimize`` flags."""
     if args.spec:
-        defaults = dict(_OPTIMIZE_SPEC_FLAG_DEFAULTS)
-        defaults["space"] = json.dumps(DEFAULT_SEARCH_SPACE)
+        # A --spec file already fixes every flag that defines the search,
+        # so combining the two would silently ignore whichever the user
+        # thinks won.
         overridden = sorted(
             f"--{name.replace('_', '-')}"
-            for name, default in defaults.items()
+            for name, default in args.search_defaults.items()
             if getattr(args, name) != default
         )
         if overridden:
@@ -608,14 +533,7 @@ def _build_search_spec(args: argparse.Namespace) -> SearchSpec:
         raise ValidationError("provide --rows and --cols (or a --spec file)")
     objective: dict[str, Any] = {"metric": args.objective}
     if args.workload:
-        workload = (
-            json.loads(args.workload)
-            if args.workload.lstrip().startswith(("{", "[", '"'))
-            else args.workload
-        )
-        if isinstance(workload, str):
-            workload = {"name": workload}
-        objective = {"metric": "workload_latency", "workload": workload}
+        objective = {"metric": "workload_latency", "workload": _workload_arg(args.workload)}
     if args.phase:
         objective["phase"] = args.phase
     constraints: dict[str, Any] = {}
@@ -633,9 +551,7 @@ def _build_search_spec(args: argparse.Namespace) -> SearchSpec:
         constraints=constraints,
         scenario=args.scenario,
         arch=_json_object(args.arch, "--arch"),
-        sim=_merge_engine(
-            _json_object(args.sim, "--sim"), args.engine, args.audit_interval
-        ),
+        sim=args.sim_overrides,
         traffic=args.traffic,
         survivors=args.survivors,
         seed=args.seed,
@@ -646,11 +562,7 @@ def _build_search_spec(args: argparse.Namespace) -> SearchSpec:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     spec = _build_search_spec(args)
     result = run_search(
-        spec,
-        cache_dir=args.cache_dir,
-        store=args.store,
-        parallel=args.parallel,
-        progress=_progress_enabled(),
+        spec, store=args.store, parallel=args.parallel, progress=_progress_enabled()
     )
 
     if args.csv:
@@ -668,7 +580,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         )
         print(f"wrote search result to {args.json_out}")
     if args.as_json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
+        _print_json(result.to_dict())
         return 0
 
     print(f"search {spec.search_id}: {spec.describe()}")
@@ -786,21 +698,17 @@ def _cmd_store_migrate(args: argparse.Namespace) -> int:
     store = ResultStore(args.db)
     report = store.import_cache_dir(args.cache_dir)
     if args.as_json:
-        print(
-            json.dumps(
-                {
-                    "imported": report.imported,
-                    "already_present": report.already_present,
-                    "invalid": [
-                        {"file": name, "reason": reason}
-                        for name, reason in report.invalid
-                    ],
-                    "total": report.total,
-                    "store": str(store.path),
-                },
-                indent=2,
-                sort_keys=True,
-            )
+        _print_json(
+            {
+                "imported": report.imported,
+                "already_present": report.already_present,
+                "invalid": [
+                    {"file": name, "reason": reason}
+                    for name, reason in report.invalid
+                ],
+                "total": report.total,
+                "store": str(store.path),
+            }
         )
     else:
         print(f"migrated {args.cache_dir} -> {store.path}: {report.summary()}")
@@ -814,7 +722,7 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
 
     stats = ResultStore(args.db).stats()
     if args.as_json:
-        print(json.dumps(stats, indent=2, sort_keys=True))
+        _print_json(stats)
         return 0
     print(f"store {stats['path']} (schema v{stats['store_schema_version']})")
     print(f"  results: {stats['results']} ({stats['size_bytes']} bytes on disk)")
@@ -857,18 +765,14 @@ def _cmd_enqueue(args: argparse.Namespace) -> int:
     queue = WorkQueue(args.db)
     report = queue.enqueue(campaign)
     if args.as_json:
-        print(
-            json.dumps(
-                {
-                    "campaign_id": report.campaign_id,
-                    "total": report.total,
-                    "enqueued": report.enqueued,
-                    "already_stored": report.already_stored,
-                    "already_queued": report.already_queued,
-                },
-                indent=2,
-                sort_keys=True,
-            )
+        _print_json(
+            {
+                "campaign_id": report.campaign_id,
+                "total": report.total,
+                "enqueued": report.enqueued,
+                "already_stored": report.already_stored,
+                "already_queued": report.already_queued,
+            }
         )
     else:
         print(report.summary())
@@ -925,15 +829,57 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A parent parser declaring one flag group that several subcommands share."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def _topology_flags(required: bool) -> argparse.ArgumentParser:
+    """``--topology``/``--rows``/``--cols``/``--topology-kwargs``.
+
+    Required for the subcommands that build one topology; ``verify`` makes
+    them optional (it also takes ``--all-topologies``) on a 4x4 default grid.
+    """
+    group = _flags()
+    grid: dict[str, Any] = {"required": True} if required else {"default": 4}
+    group.add_argument(
+        "--topology", required=required, default=None, help="topology registry name"
+    )
+    group.add_argument("--rows", type=int, **grid)
+    group.add_argument("--cols", type=int, **grid)
+    group.add_argument(
+        "--topology-kwargs", default="{}", help="JSON generator kwargs (e.g. s_r/s_c)"
+    )
+    return group
+
+
+def _add_command(
+    subparsers: Any,
+    name: str,
+    help: str,
+    handler: Any,
+    *parents: argparse.ArgumentParser,
+    **kwargs: Any,
+) -> argparse.ArgumentParser:
+    """Add one subcommand with the shared flag groups ``parents``."""
+    command = subparsers.add_parser(name, help=help, parents=list(parents), **kwargs)
+    command.set_defaults(handler=handler)
+    return command
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser (exposed for docs and tests).
+
+    Every flag that several subcommands share is declared once, in a parent
+    parser per flag group (``--json``; ``--csv``/``--json-out``; ``--engine``/
+    ``--audit-interval``; ``--sim``; ``--store``; ``--db``; the topology and
+    grid flags), and attached to each subcommand that takes it.
 
     Returns
     -------
     argparse.ArgumentParser
-        Parser with one subparser per subcommand (``list-topologies``,
-        ``list-traffic``, ``predict``, ``campaign``, ``figure6``); each sets
-        a ``handler`` default that :func:`main` dispatches to.
+        Parser with one subparser per subcommand; each sets a ``handler``
+        default that :func:`main` dispatches to.
 
     Examples
     --------
@@ -943,6 +889,30 @@ def build_parser() -> argparse.ArgumentParser:
     >>> args.command
     'predict'
     """
+    as_json = _flags()
+    as_json.add_argument("--json", dest="as_json", action="store_true", help="emit JSON")
+    export = _flags(as_json)
+    export.add_argument("--csv", default=None, help="write results as CSV")
+    export.add_argument("--json-out", default=None, help="write results as JSON")
+    engine = _flags()
+    engine.add_argument(
+        "--engine",
+        default=None,
+        choices=available_engines(),
+        help="simulation engine (bit-identical; soa is the fast kernel)",
+    )
+    engine.add_argument(
+        "--audit-interval", type=int, default=None,
+        help="sanitizer audit sampling period in cycles (default 1: every cycle)",
+    )
+    sim = _flags(engine)
+    sim.add_argument("--sim", default="{}", help="JSON SimulationConfig overrides")
+    store = _flags()
+    store.add_argument("--store", default=None, help="SQLite result store memoizing results")
+    db = _flags()
+    db.add_argument("--db", required=True, help="SQLite store file")
+    topology = _topology_flags(required=True)
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Declarative experiment runner for the sparse-Hamming-graph NoC reproduction.",
@@ -952,27 +922,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_topo = sub.add_parser("list-topologies", help="list registered topology generators")
+    p_topo = _add_command(
+        sub, "list-topologies", "list registered topology generators",
+        _cmd_list_topologies, as_json,
+    )
     p_topo.add_argument("--rows", type=int, default=0, help="grid rows for applicability check")
     p_topo.add_argument("--cols", type=int, default=0, help="grid cols for applicability check")
-    p_topo.add_argument("--json", dest="as_json", action="store_true", help="emit JSON")
-    p_topo.set_defaults(handler=_cmd_list_topologies)
+    for name, (help_text, _) in _NAME_LISTS.items():
+        _add_command(sub, name, help_text, _cmd_list_names, as_json)
 
-    p_traffic = sub.add_parser("list-traffic", help="list registered traffic patterns")
-    p_traffic.add_argument("--json", dest="as_json", action="store_true", help="emit JSON")
-    p_traffic.set_defaults(handler=_cmd_list_traffic)
-
-    p_workloads = sub.add_parser(
-        "list-workloads", help="list registered workload generators"
+    p_gen = _add_command(
+        sub, "gen-trace", "generate a workload trace file", _cmd_gen_trace
     )
-    p_workloads.add_argument("--json", dest="as_json", action="store_true", help="emit JSON")
-    p_workloads.set_defaults(handler=_cmd_list_workloads)
-
-    p_engines = sub.add_parser("list-engines", help="list registered simulation engines")
-    p_engines.add_argument("--json", dest="as_json", action="store_true", help="emit JSON")
-    p_engines.set_defaults(handler=_cmd_list_engines)
-
-    p_gen = sub.add_parser("gen-trace", help="generate a workload trace file")
     p_gen.add_argument("--workload", required=True, help="workload registry name")
     p_gen.add_argument("--rows", type=int, required=True)
     p_gen.add_argument("--cols", type=int, required=True)
@@ -983,10 +944,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--output", required=True, help="trace path; suffix picks .jsonl or .npz"
     )
-    p_gen.set_defaults(handler=_cmd_gen_trace)
 
-    p_replay = sub.add_parser(
-        "replay", help="replay a workload trace through the simulator"
+    p_replay = _add_command(
+        sub, "replay", "replay a workload trace through the simulator",
+        _cmd_replay, topology, sim, as_json,
     )
     p_replay.add_argument("--trace", default=None, help="trace file (.jsonl or .npz)")
     p_replay.add_argument(
@@ -996,192 +957,112 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument(
         "--params", default="{}", help="JSON generator kwargs (with --workload)"
     )
-    p_replay.add_argument("--topology", required=True, help="topology registry name")
-    p_replay.add_argument("--rows", type=int, required=True)
-    p_replay.add_argument("--cols", type=int, required=True)
-    p_replay.add_argument(
-        "--topology-kwargs", default="{}", help="JSON generator kwargs (e.g. s_r/s_c)"
-    )
-    p_replay.add_argument("--sim", default="{}", help="JSON SimulationConfig overrides")
-    p_replay.add_argument(
-        "--engine",
-        default=None,
-        choices=available_engines(),
-        help="simulation engine (bit-identical; soa is the fast kernel)",
-    )
-    p_replay.add_argument(
-        "--audit-interval", type=int, default=None,
-        help="sanitizer audit sampling period in cycles (default 1: every cycle)",
-    )
-    p_replay.add_argument("--json", dest="as_json", action="store_true", help="emit JSON")
-    p_replay.set_defaults(handler=_cmd_replay)
 
-    p_predict = sub.add_parser("predict", help="run one experiment spec")
-    p_predict.add_argument("--topology", required=True, help="topology registry name")
-    p_predict.add_argument("--rows", type=int, required=True)
-    p_predict.add_argument("--cols", type=int, required=True)
-    p_predict.add_argument(
-        "--topology-kwargs", default="{}", help="JSON generator kwargs (e.g. s_r/s_c)"
+    p_predict = _add_command(
+        sub, "predict", "run one experiment spec",
+        _cmd_predict, topology, sim, store, as_json,
     )
     p_predict.add_argument("--scenario", default=None, choices=sorted(KNC_SCENARIOS))
     p_predict.add_argument("--arch", default="{}", help="JSON ArchitecturalParameters overrides")
     p_predict.add_argument("--traffic", default="uniform")
     p_predict.add_argument("--mode", default="analytical", choices=("analytical", "simulation"))
-    p_predict.add_argument("--sim", default="{}", help="JSON SimulationConfig overrides")
-    p_predict.add_argument(
-        "--engine",
-        default=None,
-        choices=available_engines(),
-        help="simulation engine (bit-identical; soa is the fast kernel)",
-    )
-    p_predict.add_argument(
-        "--audit-interval", type=int, default=None,
-        help="sanitizer audit sampling period in cycles (default 1: every cycle)",
-    )
     p_predict.add_argument(
         "--workload",
         default=None,
         help="JSON workload spec or bare name (forces simulation mode)",
     )
-    p_predict.add_argument("--cache-dir", default=None, help="on-disk result cache directory")
-    p_predict.add_argument(
-        "--store", default=None, help="durable SQLite result store (alternative to --cache-dir)"
-    )
-    p_predict.add_argument("--json", dest="as_json", action="store_true", help="emit JSON")
-    p_predict.set_defaults(handler=_cmd_predict)
 
-    p_opt = sub.add_parser(
-        "optimize", help="search a topology design space for an objective"
-    )
-    p_opt.add_argument("--spec", default=None, help="SearchSpec JSON file (overrides flags)")
-    p_opt.add_argument("--rows", type=int, default=0)
-    p_opt.add_argument("--cols", type=int, default=0)
-    p_opt.add_argument(
+    # The flags that define a search; a --spec file already fixes all of
+    # them, so _build_search_spec rejects any that differs from its default.
+    search = _flags(sim)
+    search.add_argument("--rows", type=int, default=0)
+    search.add_argument("--cols", type=int, default=0)
+    search.add_argument(
         "--space",
         default=json.dumps(DEFAULT_SEARCH_SPACE),
         help="JSON families block (default: Figure 6 families + 64 sampled "
         "sparse-Hamming configurations)",
     )
-    p_opt.add_argument(
+    search.add_argument(
         "--objective",
         default="zero_load_latency",
         choices=("zero_load_latency", "saturation_throughput", "workload_latency"),
     )
-    p_opt.add_argument(
+    search.add_argument(
         "--workload",
         default=None,
         help="JSON workload spec or bare name (implies --objective workload_latency)",
     )
-    p_opt.add_argument("--phase", default=None, help="optimize one named trace phase")
-    p_opt.add_argument("--scenario", default=None, choices=sorted(KNC_SCENARIOS))
-    p_opt.add_argument("--arch", default="{}", help="JSON ArchitecturalParameters overrides")
-    p_opt.add_argument("--sim", default="{}", help="JSON SimulationConfig overrides")
-    p_opt.add_argument(
-        "--engine",
-        default=None,
-        choices=available_engines(),
-        help="simulation engine for the cycle-accurate rungs",
-    )
-    p_opt.add_argument(
-        "--audit-interval", type=int, default=None,
-        help="sanitizer audit sampling period in cycles (default 1: every cycle)",
-    )
-    p_opt.add_argument("--traffic", default="uniform")
-    p_opt.add_argument(
+    search.add_argument("--phase", default=None, help="optimize one named trace phase")
+    search.add_argument("--scenario", default=None, choices=sorted(KNC_SCENARIOS))
+    search.add_argument("--arch", default="{}", help="JSON ArchitecturalParameters overrides")
+    search.add_argument("--traffic", default="uniform")
+    search.add_argument(
         "--max-area-overhead", type=float, default=None, help="area budget (fraction)"
     )
-    p_opt.add_argument("--max-power", type=float, default=None, help="NoC power budget [W]")
-    p_opt.add_argument(
+    search.add_argument("--max-power", type=float, default=None, help="NoC power budget [W]")
+    search.add_argument(
         "--max-link-length", type=int, default=None, help="link-length budget [tile pitches]"
     )
-    p_opt.add_argument(
+    search.add_argument(
         "--survivors", type=int, default=6, help="candidates entering the simulation stage"
     )
-    p_opt.add_argument("--seed", type=int, default=0, help="search-space sampling seed")
-    p_opt.add_argument(
+    search.add_argument("--seed", type=int, default=0, help="search-space sampling seed")
+    search.add_argument(
         "--baseline", default="mesh", help="comparison topology ('none' disables)"
     )
+    p_opt = _add_command(
+        sub, "optimize", "search a topology design space for an objective",
+        _cmd_optimize, search, store, export,
+    )
+    p_opt.add_argument("--spec", default=None, help="SearchSpec JSON file (overrides flags)")
     p_opt.add_argument("--parallel", type=int, default=None, help="worker processes per rung")
-    p_opt.add_argument("--cache-dir", default=None, help="on-disk result cache directory")
-    p_opt.add_argument(
-        "--store", default=None, help="durable SQLite result store (alternative to --cache-dir)"
-    )
-    p_opt.add_argument("--csv", default=None, help="write the search trajectory as CSV")
-    p_opt.add_argument("--json-out", default=None, help="write the search result as JSON")
-    p_opt.add_argument("--json", dest="as_json", action="store_true", help="emit JSON")
-    p_opt.set_defaults(handler=_cmd_optimize)
+    p_opt.set_defaults(search_defaults=vars(search.parse_args([])))
 
-    p_verify = sub.add_parser(
-        "verify", help="statically verify compiled routing tables"
+    p_verify = _add_command(
+        sub, "verify", "statically verify compiled routing tables",
+        _cmd_verify, _topology_flags(required=False), as_json,
     )
-    p_verify.add_argument("--topology", default=None, help="topology registry name")
     p_verify.add_argument(
         "--all-topologies",
         action="store_true",
         help="verify every registered topology (inapplicable grids fall "
         "back to the nearest applicable probe grid)",
     )
-    p_verify.add_argument("--rows", type=int, default=4)
-    p_verify.add_argument("--cols", type=int, default=4)
-    p_verify.add_argument(
-        "--topology-kwargs", default="{}", help="JSON generator kwargs (e.g. s_r/s_c)"
-    )
-    p_verify.add_argument("--json", dest="as_json", action="store_true", help="emit JSON")
-    p_verify.set_defaults(handler=_cmd_verify)
 
-    p_lint = sub.add_parser(
-        "lint", help="run the determinism/consistency lint over src/repro"
+    p_lint = _add_command(
+        sub, "lint", "run the determinism/consistency lint over src/repro",
+        _cmd_lint, as_json,
     )
     p_lint.add_argument(
         "--root", default=None, help="source root to lint (default: the installed repro package)"
     )
-    p_lint.add_argument("--json", dest="as_json", action="store_true", help="emit JSON")
-    p_lint.set_defaults(handler=_cmd_lint)
 
-    p_campaign = sub.add_parser("campaign", help="run a JSON campaign file")
+    p_campaign = _add_command(
+        sub, "campaign", "run a JSON campaign file",
+        _cmd_campaign, engine, store, export,
+    )
     p_campaign.add_argument("--spec", required=True, help="campaign JSON (specs list or grid)")
-    p_campaign.add_argument(
-        "--engine",
-        default=None,
-        choices=available_engines(),
-        help="simulation engine applied to every spec of the campaign",
-    )
-    p_campaign.add_argument(
-        "--audit-interval", type=int, default=None,
-        help="sanitizer audit sampling period in cycles (default 1: every cycle)",
-    )
     p_campaign.add_argument("--parallel", type=int, default=None, help="worker processes")
-    p_campaign.add_argument("--cache-dir", default=None, help="on-disk result cache directory")
-    p_campaign.add_argument(
-        "--store", default=None, help="durable SQLite result store (alternative to --cache-dir)"
-    )
-    p_campaign.add_argument("--csv", default=None, help="write results as CSV")
-    p_campaign.add_argument("--json-out", default=None, help="write results as JSON")
-    p_campaign.add_argument("--json", dest="as_json", action="store_true", help="emit JSON")
-    p_campaign.set_defaults(handler=_cmd_campaign)
 
-    p_fig6 = sub.add_parser("figure6", help="reproduce Figure 6 panels")
+    p_fig6 = _add_command(
+        sub, "figure6", "reproduce Figure 6 panels", _cmd_figure6, store, export
+    )
     p_fig6.add_argument(
         "--scenario", default="a", choices=sorted(KNC_SCENARIOS) + ["all"]
     )
     p_fig6.add_argument("--mode", default="analytical", choices=("analytical", "simulation"))
     p_fig6.add_argument("--parallel", type=int, default=None, help="worker processes")
-    p_fig6.add_argument("--cache-dir", default=None, help="on-disk result cache directory")
-    p_fig6.add_argument(
-        "--store", default=None, help="durable SQLite result store (alternative to --cache-dir)"
-    )
-    p_fig6.add_argument("--csv", default=None, help="write results as CSV")
-    p_fig6.add_argument("--json-out", default=None, help="write results as JSON")
-    p_fig6.add_argument("--json", dest="as_json", action="store_true", help="emit JSON")
-    p_fig6.set_defaults(handler=_cmd_figure6)
 
     p_dev = sub.add_parser(
         "devtools", help="developer utilities (differential-test tooling)"
     )
     dev_sub = p_dev.add_subparsers(dest="devtools_command", required=True)
-    p_replay_scn = dev_sub.add_parser(
+    p_replay_scn = _add_command(
+        dev_sub,
         "replay-scenario",
-        help="rebuild one differential scenario from (seed, index) and re-run it",
+        "rebuild one differential scenario from (seed, index) and re-run it",
+        _cmd_devtools_replay_scenario,
         description=(
             "Reconstruct a randomized differential scenario from its generator "
             "seed and index (see repro.devtools.scenarios), run it under the "
@@ -1206,31 +1087,27 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also cross-check the vec engine's batched path against solo runs",
     )
-    p_replay_scn.set_defaults(handler=_cmd_devtools_replay_scenario)
 
     p_store = sub.add_parser(
         "store", help="manage the durable SQLite result store"
     )
     store_sub = p_store.add_subparsers(dest="store_command", required=True)
-    p_migrate = store_sub.add_parser(
-        "migrate",
-        help="import a legacy --cache-dir memoization directory into a store",
+    p_migrate = _add_command(
+        store_sub, "migrate",
+        "import a legacy memoization directory of per-spec JSON files into a store",
+        _cmd_store_migrate, db, as_json,
     )
-    p_migrate.add_argument("--db", required=True, help="SQLite store file")
     p_migrate.add_argument(
         "--cache-dir", required=True, help="legacy per-spec JSON cache directory"
     )
-    p_migrate.add_argument("--json", dest="as_json", action="store_true", help="emit JSON")
-    p_migrate.set_defaults(handler=_cmd_store_migrate)
-    p_stats = store_sub.add_parser("stats", help="summarize a store file")
-    p_stats.add_argument("--db", required=True, help="SQLite store file")
-    p_stats.add_argument("--json", dest="as_json", action="store_true", help="emit JSON")
-    p_stats.set_defaults(handler=_cmd_store_stats)
-
-    p_query = sub.add_parser(
-        "query", help="look up stored results offline (no simulation runs)"
+    _add_command(
+        store_sub, "stats", "summarize a store file", _cmd_store_stats, db, as_json
     )
-    p_query.add_argument("--db", required=True, help="SQLite store file")
+
+    p_query = _add_command(
+        sub, "query", "look up stored results offline (no simulation runs)",
+        _cmd_query, db, export,
+    )
     p_query.add_argument("--spec-id", dest="spec_id", default=None)
     p_query.add_argument("--topology", default=None, help="topology family filter")
     p_query.add_argument("--trace-id", dest="trace_id", default=None)
@@ -1238,23 +1115,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--scenario", default=None, choices=sorted(KNC_SCENARIOS))
     p_query.add_argument("--workload", default=None, help="workload name filter")
     p_query.add_argument("--limit", type=int, default=None, help="max records returned")
-    p_query.add_argument("--csv", default=None, help="write results as CSV")
-    p_query.add_argument("--json-out", default=None, help="write results as JSON")
-    p_query.add_argument("--json", dest="as_json", action="store_true", help="emit JSON")
-    p_query.set_defaults(handler=_cmd_query)
 
-    p_enq = sub.add_parser(
-        "enqueue", help="push a campaign's specs onto a store's work queue"
+    p_enq = _add_command(
+        sub, "enqueue", "push a campaign's specs onto a store's work queue",
+        _cmd_enqueue, db, as_json,
     )
-    p_enq.add_argument("--db", required=True, help="SQLite store file")
     p_enq.add_argument("--spec", required=True, help="campaign JSON (specs list or grid)")
-    p_enq.add_argument("--json", dest="as_json", action="store_true", help="emit JSON")
-    p_enq.set_defaults(handler=_cmd_enqueue)
 
-    p_work = sub.add_parser(
-        "work", help="drain queued jobs (run N copies to shard a campaign)"
+    p_work = _add_command(
+        sub, "work", "drain queued jobs (run N copies to shard a campaign)", _cmd_work, db
     )
-    p_work.add_argument("--db", required=True, help="SQLite store file")
     p_work.add_argument(
         "--worker-id", default=None, help="lease identity (default: pid-<pid>)"
     )
@@ -1281,12 +1151,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_work.add_argument(
         "--verbose", action="store_true", help="print one line per processed job"
     )
-    p_work.set_defaults(handler=_cmd_work)
 
-    p_serve = sub.add_parser(
-        "serve", help="HTTP prediction/query API over a store"
+    p_serve = _add_command(
+        sub, "serve", "HTTP prediction/query API over a store", _cmd_serve, db
     )
-    p_serve.add_argument("--db", required=True, help="SQLite store file")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8321)
     p_serve.add_argument(
@@ -1301,7 +1169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--verbose", action="store_true", help="emit per-request access-log lines"
     )
-    p_serve.set_defaults(handler=_cmd_serve)
 
     return parser
 
@@ -1336,6 +1203,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "engine" in args:
+            # The one place the engine flags merge into the --sim overrides.
+            args.sim_overrides = _merge_engine(args)
         return args.handler(args)
     except ValidationError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -1,30 +1,26 @@
-"""Campaign execution: serial or process-parallel, with on-disk memoization.
+"""Campaign execution: serial or process-parallel, with memoization in a store.
 
 :class:`ExperimentRunner` turns campaigns into :class:`ResultSet` objects.
-Results are memoized on disk keyed by :attr:`ExperimentSpec.spec_id` (a
-content hash of the spec), so re-running an identical campaign — the Figure 6
-reproduction, a design-space sweep — is instant.  Specs run in *units* (a
-fused gang or a single spec, see :func:`~repro.experiments.scheduler.run_unit`),
-in-process or fanned out over a :class:`ProcessPoolExecutor`; in-process
-units share topologies and prediction toolchains across specs that differ
-only in traffic pattern, which lets the toolchain's per-topology
-routing-table cache skip redundant BFS work.  Each unit's results are
-memoized as soon as the unit finishes.
+Results are memoized in a :class:`~repro.service.store.ResultStore` keyed by
+:attr:`ExperimentSpec.spec_id` (a content hash of the spec), so re-running an
+identical campaign — the Figure 6 reproduction, a design-space sweep — is
+instant.  Specs run in *units* (a fused gang or a single spec, see
+:func:`~repro.experiments.scheduler.run_unit`), in-process or fanned out
+over a :class:`ProcessPoolExecutor`; in-process units share topologies and
+prediction toolchains across specs that differ only in traffic pattern,
+which lets the toolchain's per-topology routing-table cache skip redundant
+BFS work.  Each unit's results are memoized as soon as the unit finishes.
 
-Cache entries and parallel-worker payloads round-trip through JSON (see
+Stored results and parallel-worker payloads round-trip through JSON (see
 :mod:`repro.experiments.serialization`): the scalar prediction metrics and
 the analytical performance details survive, while heavyweight intermediate
 artifacts (the physical-model result, cycle-accurate sweep statistics) are
-dropped.  When those artifacts are needed, run serially without a cache
-directory — the serial uncached path returns the live
-:class:`PredictionResult` objects untouched.
+dropped.  When those artifacts are needed, run serially without a store —
+the serial unmemoized path returns the live :class:`PredictionResult`
+objects untouched.
 
-Memoization is pluggable (see :mod:`repro.experiments.cache`): ``cache_dir``
-selects the classic one-file-per-spec :class:`DirectoryCache`, while
-``store`` selects the durable content-addressed SQLite result store of
-:mod:`repro.service` — the backend the campaign queue workers and the
-``repro serve`` API share, so campaigns/optimize runs gain durability with
-zero caller changes.
+The store is the same content-addressed SQLite file the campaign queue
+workers and the ``repro serve`` API share (see :mod:`repro.service`).
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ from repro.analysis.pareto import (
     latency_rank,
     pareto_front,
 )
-from repro.experiments.cache import CacheBackend, DirectoryCache
 from repro.experiments.campaign import Campaign
 from repro.experiments.serialization import prediction_from_dict, prediction_to_dict
 from repro.experiments.spec import ExperimentSpec
@@ -127,8 +122,8 @@ class ExperimentResult:
     prediction:
         The resulting :class:`~repro.toolchain.results.PredictionResult`.
     cached:
-        ``True`` when the prediction was served from the runner's on-disk
-        cache instead of being computed.
+        ``True`` when the prediction was served from the runner's result
+        store instead of being computed.
 
     Examples
     --------
@@ -226,7 +221,7 @@ class ResultSet:
 
     @property
     def num_cached(self) -> int:
-        """How many results were served from the on-disk cache."""
+        """How many results were served from the result store."""
         return sum(1 for result in self.results if result.cached)
 
     def get(self, spec_id: str) -> ExperimentResult:
@@ -316,35 +311,29 @@ class ResultSet:
 
 
 class ExperimentRunner:
-    """Executes specs and campaigns, memoizing results on disk by spec_id.
+    """Executes specs and campaigns, memoizing results in a store by spec_id.
 
     Parameters
     ----------
-    cache_dir:
-        Directory for the JSON result cache (a validated, atomic-write
-        :class:`~repro.experiments.cache.DirectoryCache`); ``None`` disables
-        memoization unless ``store`` is given.
+    store:
+        The :class:`~repro.service.store.ResultStore` (or a path to its
+        SQLite file) memoizing results; ``None`` disables memoization.
     max_workers:
         Default process count for parallel runs (``run(..., parallel=...)``
         overrides per call); ``None`` or 1 runs serially.
-    store:
-        Durable alternative to ``cache_dir``: a
-        :class:`~repro.service.store.ResultStore` (or a path to its SQLite
-        file) used as the memoization backend.  Mutually exclusive with
-        ``cache_dir``.
     search_id:
         Optional search identity recorded on every result written to the
-        ``store`` backend (``repro.optimize`` threads its
+        store (``repro.optimize`` threads its
         :attr:`~repro.optimize.spec.SearchSpec.search_id` through here so
         store rows are queryable per search).
 
     Examples
     --------
-    Memoized execution — the second run is served entirely from the cache:
+    Memoized execution — the second run is served entirely from the store:
 
     >>> from repro.experiments import ExperimentRunner, ExperimentSpec
     >>> spec = ExperimentSpec(topology="mesh", rows=4, cols=4, scenario="a")
-    >>> runner = ExperimentRunner(cache_dir=".repro-cache")  # doctest: +SKIP
+    >>> runner = ExperimentRunner(store="results.sqlite")     # doctest: +SKIP
     >>> runner.run(spec).num_cached                          # doctest: +SKIP
     0
     >>> runner.run(spec).num_cached                          # doctest: +SKIP
@@ -353,56 +342,24 @@ class ExperimentRunner:
     Fan a campaign out over four worker processes:
 
     >>> results = runner.run(campaign, parallel=4)           # doctest: +SKIP
-
-    Use the durable service store instead of a cache directory:
-
-    >>> runner = ExperimentRunner(store="results.sqlite")    # doctest: +SKIP
     """
 
     def __init__(
         self,
-        cache_dir: str | Path | None = None,
-        max_workers: int | None = None,
+        *,
         store: Any = None,
+        max_workers: int | None = None,
         search_id: str | None = None,
     ) -> None:
-        if cache_dir is not None and store is not None:
-            raise ValidationError(
-                "pass either cache_dir (directory cache) or store "
-                "(service result store), not both"
-            )
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.max_workers = max_workers
-        self.cache: CacheBackend | None = None
         if store is not None:
             # Imported lazily: repro.service depends on this module.
-            from repro.service.store import ResultStore, StoreCache
+            from repro.service.store import ResultStore
 
             if not isinstance(store, ResultStore):
                 store = ResultStore(store)
-            self.cache = StoreCache(store, search_id=search_id)
-        elif self.cache_dir is not None:
-            self.cache = DirectoryCache(self.cache_dir)
-
-    # ---------------------------------------------------------------- cache
-    def cache_path(self, spec: ExperimentSpec) -> Path | None:
-        """On-disk location of the memoized result for ``spec``.
-
-        ``None`` when memoization is disabled or the backend is not a
-        directory cache (the store keeps results in one SQLite file).
-        """
-        if isinstance(self.cache, DirectoryCache):
-            return self.cache.path_for(spec)
-        return None
-
-    def _load_cached(self, spec: ExperimentSpec) -> PredictionResult | None:
-        if self.cache is None:
-            return None
-        return self.cache.load(spec)
-
-    def _store(self, spec: ExperimentSpec, prediction: PredictionResult) -> None:
-        if self.cache is not None:
-            self.cache.save(spec, prediction)
+        self.store = store
+        self.max_workers = max_workers
+        self.search_id = search_id
 
     # ------------------------------------------------------------ execution
     def run(
@@ -413,7 +370,7 @@ class ExperimentRunner:
     ) -> ResultSet:
         """Execute a campaign (or spec, or list of specs) and return results.
 
-        Memoized results are served from the cache; the remainder runs
+        Memoized results are served from the store; the remainder runs
         serially (default) or across ``parallel`` worker processes.  Result
         order always matches the input spec order.  Cached and
         parallel-computed predictions carry only the scalar metrics and
@@ -448,9 +405,11 @@ class ExperimentRunner:
         pending: list[tuple[int, ExperimentSpec]] = []
         computed: dict[str, PredictionResult] = {}
         for index, spec in enumerate(specs):
-            cached = self._load_cached(spec)
-            if cached is not None:
-                slots[index] = ExperimentResult(spec=spec, prediction=cached, cached=True)
+            row = self.store.get(spec.spec_id) if self.store is not None else None
+            if row is not None:
+                slots[index] = ExperimentResult(
+                    spec=spec, prediction=row.prediction(), cached=True
+                )
             else:
                 pending.append((index, spec))
 
@@ -478,7 +437,10 @@ class ExperimentRunner:
         def finished(unit, predictions, lanes) -> None:
             for spec, prediction in zip(unit, predictions):
                 computed[spec.spec_id] = prediction
-                self._store(spec, prediction)
+                if self.store is not None:
+                    self.store.put(
+                        spec, prediction_to_dict(prediction), search_id=self.search_id
+                    )
             if reporter is not None:
                 reporter.completed(unit, lanes)
 
@@ -507,7 +469,7 @@ class ExperimentRunner:
 
 def run_campaign(
     campaign: Campaign,
-    cache_dir: str | Path | None = None,
+    *,
     parallel: int | None = None,
     progress: bool = False,
     store: Any = None,
@@ -518,16 +480,14 @@ def run_campaign(
     ----------
     campaign:
         The campaign to execute.
-    cache_dir:
-        Directory for the JSON result cache; ``None`` disables memoization.
     parallel:
         Worker process count; ``None`` or 1 runs serially.
     progress:
         Report per-spec completion lines on stderr (see
         :meth:`ExperimentRunner.run`).
     store:
-        Durable service result store (or path) used instead of
-        ``cache_dir`` (see :class:`ExperimentRunner`).
+        Result store (or path) memoizing the results; ``None`` disables
+        memoization (see :class:`ExperimentRunner`).
 
     Returns
     -------
@@ -541,7 +501,7 @@ def run_campaign(
     >>> len(results) > 0                                # doctest: +SKIP
     True
     """
-    return ExperimentRunner(cache_dir=cache_dir, store=store).run(
+    return ExperimentRunner(store=store).run(
         campaign, parallel=parallel, progress=progress
     )
 

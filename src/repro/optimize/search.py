@@ -13,7 +13,7 @@
    screening candidates are simulated through
    :class:`~repro.experiments.runner.ExperimentRunner` in rungs of rising
    fidelity: each rung evaluates the current set (in parallel when requested,
-   memoized on disk by ``spec_id``), ranks it by the objective's
+   memoized in the result store by ``spec_id``), ranks it by the objective's
    cycle-accurate score, and keeps the better half.  Early rungs run with a
    scaled-down simulation budget; the final rung runs at the spec's full
    budget, and its best candidate is the winner.
@@ -21,8 +21,8 @@
 Everything is deterministic given the spec: candidate enumeration is seeded,
 simulations are seeded, and all ranking ties break on the candidate's
 canonical sort key.  Because every cycle-accurate evaluation is an ordinary
-``ExperimentSpec``, re-running the same search against the same cache
-directory is served entirely from the memoization cache.
+``ExperimentSpec``, re-running the same search against the same result
+store is served entirely from the store.
 """
 
 from __future__ import annotations
@@ -303,14 +303,7 @@ def _screen(
     for candidate in candidates:
         # Build through the candidate's ExperimentSpec so screening sees
         # exactly the graph the cycle-accurate stage will simulate.
-        try:
-            topology = spec.candidate_spec(candidate).build_topology()
-        except TypeError as error:
-            # A 'grid' block can carry kwargs the generator rejects; fail
-            # with a clean message naming the candidate, not a traceback.
-            raise ValidationError(
-                f"invalid topology kwargs for {candidate.describe()}: {error}"
-            ) from error
+        topology = spec.candidate_spec(candidate).build_topology()
         link_violation = constraints.link_length_violation(max_link_length(topology))
         if link_violation is not None:
             records.append(
@@ -361,7 +354,7 @@ def _screen(
 def run_search(
     spec: SearchSpec,
     runner: ExperimentRunner | None = None,
-    cache_dir: str | None = None,
+    *,
     parallel: int | None = None,
     progress: bool = False,
     store: Any = None,
@@ -374,10 +367,7 @@ def run_search(
         The search to run.
     runner:
         The :class:`ExperimentRunner` executing the cycle-accurate stage;
-        built from ``cache_dir``/``store`` when omitted.
-    cache_dir:
-        On-disk memoization directory (ignored when ``runner`` is given);
-        ``None`` disables caching.
+        built from ``store`` when omitted.
     parallel:
         Worker processes per rung (each rung's evaluations are independent).
     progress:
@@ -385,11 +375,12 @@ def run_search(
         cycle-accurate rungs (see
         :meth:`~repro.experiments.runner.ExperimentRunner.run`).
     store:
-        Durable service result store
-        (:class:`~repro.service.store.ResultStore` or path) used instead of
-        ``cache_dir``; every rung evaluation is recorded under this
-        search's :attr:`~repro.optimize.spec.SearchSpec.search_id`, so the
-        store can be queried per search afterwards.
+        Result store (:class:`~repro.service.store.ResultStore` or path)
+        memoizing the cycle-accurate stage (ignored when ``runner`` is
+        given; ``None`` disables memoization).  Every rung evaluation is
+        recorded under this search's
+        :attr:`~repro.optimize.spec.SearchSpec.search_id`, so the store can
+        be queried per search afterwards.
 
     Raises
     ------
@@ -406,15 +397,7 @@ def run_search(
             f"a {spec.rows}x{spec.cols} grid"
         )
     if runner is None:
-        if store is not None and cache_dir is not None:
-            raise ValidationError(
-                "pass either cache_dir (directory cache) or store "
-                "(service result store), not both"
-            )
-        if store is not None:
-            runner = ExperimentRunner(store=store, search_id=spec.search_id)
-        else:
-            runner = ExperimentRunner(cache_dir=cache_dir)
+        runner = ExperimentRunner(store=store, search_id=spec.search_id)
 
     # ---------------------------------------------------- stage 1: screening
     screening = _screen(spec, candidates, objective, constraints)

@@ -75,18 +75,13 @@ class Candidate:
             ``grid`` block or baseline fails fast with a clean message
             instead of a mid-search ``TypeError``).
         """
-        try:
-            return make_topology(
-                self.topology,
-                rows,
-                cols,
-                endpoints_per_tile=endpoints_per_tile,
-                **dict(self.topology_kwargs),
-            )
-        except TypeError as error:
-            raise ValidationError(
-                f"invalid topology kwargs for {self.topology!r}: {error}"
-            ) from error
+        return make_topology(
+            self.topology,
+            rows,
+            cols,
+            endpoints_per_tile=endpoints_per_tile,
+            **dict(self.topology_kwargs),
+        )
 
     def describe(self) -> str:
         """Short human-readable label (family plus non-default kwargs)."""

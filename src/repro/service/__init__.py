@@ -5,9 +5,10 @@ The production-serving layer on top of :mod:`repro.experiments`:
 * :mod:`repro.service.store` — content-addressed SQLite
   :class:`ResultStore` keyed by ``spec_id`` with ``trace_id``/``search_id``/
   topology indexes, schema versioning, atomic upserts, and one-shot
-  migration from legacy memoization directories.  Doubles as a runner cache
-  backend (:class:`StoreCache`), so campaigns and optimizer runs gain
-  durability with zero caller changes.
+  migration from legacy memoization directories.  It is the only
+  memoization backend of :class:`~repro.experiments.ExperimentRunner`
+  (``ExperimentRunner(store=...)``), so campaigns, optimizer runs, queue
+  workers and the API all share one file.
 * :mod:`repro.service.queue` — durable :class:`WorkQueue` in the same
   SQLite file: campaigns become work items claimed under expiring leases,
   so any number of workers (or restarts after a crash) drain one queue
@@ -26,7 +27,6 @@ from repro.service.queue import EnqueueReport, Job, WorkQueue, campaign_id_for
 from repro.service.store import (
     MigrationReport,
     ResultStore,
-    StoreCache,
     StoredResult,
 )
 from repro.service.worker import WorkerStats, run_worker
@@ -37,7 +37,6 @@ __all__ = [
     "MigrationReport",
     "ReproServer",
     "ResultStore",
-    "StoreCache",
     "StoredResult",
     "WorkQueue",
     "WorkerStats",

@@ -1,7 +1,8 @@
 """Content-addressed result store: SQLite rows keyed by ``spec_id``.
 
-The store is the durable successor of the runner's one-JSON-file-per-spec
-memoization directory.  Every row holds one executed
+The store is the runner's only memoization backend (it replaced a
+one-JSON-file-per-spec directory, which :meth:`ResultStore.import_cache_dir`
+still imports).  Every row holds one executed
 :class:`~repro.experiments.spec.ExperimentSpec` — the canonical spec JSON,
 the serialized prediction payload (see
 :mod:`repro.experiments.serialization`), and denormalized identity columns
@@ -42,12 +43,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from repro.experiments.cache import validate_cache_payload
 from repro.experiments.runner import ExperimentResult, ResultSet
 from repro.experiments.serialization import (
     RESULT_SCHEMA_VERSION,
     prediction_from_dict,
-    prediction_to_dict,
     validate_result_payload,
 )
 from repro.experiments.scheduler import gang_key_id
@@ -156,6 +155,41 @@ class StoredResult:
     def prediction(self) -> PredictionResult:
         """Rebuild the stored prediction."""
         return prediction_from_dict(self.result)
+
+
+def validate_cache_payload(payload: Any, spec_id: str) -> None:
+    """Validate a legacy ``{"spec": ..., "result": ...}`` cache entry.
+
+    Parameters
+    ----------
+    payload:
+        The decoded JSON payload.
+    spec_id:
+        The spec the entry's file name says it describes; the stored spec is
+        rebuilt and re-hashed, and an id mismatch (a renamed file, a stale
+        entry from an older spec schema) is rejected.
+
+    Raises
+    ------
+    ValidationError
+        On any structural problem — the entry must not be imported.
+    """
+    if not isinstance(payload, Mapping):
+        raise ValidationError(
+            f"cache entry must be a JSON object, got {type(payload).__name__}"
+        )
+    if "spec" not in payload or "result" not in payload:
+        missing = [key for key in ("spec", "result") if key not in payload]
+        raise ValidationError(f"cache entry is missing keys: {missing}")
+    if not isinstance(payload["spec"], Mapping):
+        raise ValidationError("cache entry 'spec' must be a mapping")
+    stored_spec = ExperimentSpec.from_dict(payload["spec"])
+    if stored_spec.spec_id != spec_id:
+        raise ValidationError(
+            f"cache entry describes spec {stored_spec.spec_id}, "
+            f"but {spec_id} was requested"
+        )
+    validate_result_payload(payload["result"])
 
 
 @dataclass
@@ -491,15 +525,17 @@ class ResultStore:
     def import_cache_dir(self, cache_dir: str | Path) -> MigrationReport:
         """One-shot import of a legacy memoization directory.
 
-        Every ``*.json`` entry is validated exactly like a
-        :class:`~repro.experiments.cache.DirectoryCache` load — including
-        that the file name matches the content hash of the stored spec — and
-        then upserted.  Invalid entries are reported, not fatal.
+        Every ``*.json`` entry is validated by :func:`validate_cache_payload`
+        — including that the file name matches the content hash of the
+        stored spec — and then upserted.  Invalid entries are reported, not
+        fatal.
 
         Parameters
         ----------
         cache_dir:
-            A directory previously used as ``ExperimentRunner(cache_dir=...)``.
+            A directory of ``<spec_id>.json`` entries, each holding
+            ``{"spec": ..., "result": ...}``, as older releases of the
+            runner wrote them.
 
         Returns
         -------
@@ -530,37 +566,10 @@ class ResultStore:
         return iter(self.query())
 
 
-class StoreCache:
-    """:class:`ResultStore` behind the runner's cache-backend interface.
-
-    Selecting ``ExperimentRunner(store=...)`` routes every memoization load
-    and save through here, which is how campaigns, ``repro optimize`` and
-    the search rungs gain durability with zero caller changes.
-
-    Parameters
-    ----------
-    store:
-        The backing :class:`ResultStore`.
-    search_id:
-        Recorded on every save (see :meth:`ResultStore.put`).
-    """
-
-    def __init__(self, store: ResultStore, search_id: str | None = None) -> None:
-        self.store = store
-        self.search_id = search_id
-
-    def load(self, spec: ExperimentSpec) -> PredictionResult | None:
-        row = self.store.get(spec.spec_id)
-        return row.prediction() if row is not None else None
-
-    def save(self, spec: ExperimentSpec, prediction: PredictionResult) -> None:
-        self.store.put(spec, prediction_to_dict(prediction), search_id=self.search_id)
-
-
 __all__ = [
     "STORE_SCHEMA_VERSION",
     "MigrationReport",
     "ResultStore",
-    "StoreCache",
     "StoredResult",
+    "validate_cache_payload",
 ]

@@ -12,7 +12,8 @@ topologies exactly like the paper does.
 
 from __future__ import annotations
 
-from typing import Callable
+import inspect
+from typing import Callable, Iterable
 
 from repro.topologies.base import Topology
 from repro.topologies.flattened_butterfly import FlattenedButterflyTopology
@@ -20,6 +21,7 @@ from repro.topologies.folded_torus import FoldedTorusTopology
 from repro.topologies.hypercube import HypercubeTopology, hypercube_applicable
 from repro.topologies.mesh import MeshTopology
 from repro.topologies.ring import RingTopology
+from repro.topologies.ruche import RucheTopology
 from repro.topologies.slimnoc import SlimNoCTopology, slimnoc_applicable
 from repro.topologies.torus import TorusTopology
 from repro.utils.validation import ValidationError
@@ -28,21 +30,21 @@ TopologyFactory = Callable[..., Topology]
 
 
 def _make_sparse_hamming(
-    rows: int, cols: int, endpoints_per_tile: int = 1, **kwargs
+    rows: int,
+    cols: int,
+    s_r: Iterable[int] = (),
+    s_c: Iterable[int] = (),
+    endpoints_per_tile: int = 1,
 ) -> Topology:
     # Imported lazily to avoid a circular import between repro.topologies and
-    # repro.core (the sparse Hamming graph is built on top of the mesh).
+    # repro.core (the sparse Hamming graph is built on top of the mesh).  The
+    # signature mirrors SparseHammingGraph's so make_topology can check
+    # kwargs against it.
     from repro.core.sparse_hamming import SparseHammingGraph
 
     return SparseHammingGraph(
-        rows, cols, endpoints_per_tile=endpoints_per_tile, **kwargs
+        rows, cols, s_r=s_r, s_c=s_c, endpoints_per_tile=endpoints_per_tile
     )
-
-
-def _make_ruche(rows: int, cols: int, endpoints_per_tile: int = 1, **kwargs) -> Topology:
-    from repro.topologies.ruche import RucheTopology
-
-    return RucheTopology(rows, cols, endpoints_per_tile=endpoints_per_tile, **kwargs)
 
 
 TOPOLOGY_FACTORIES: dict[str, TopologyFactory] = {
@@ -53,7 +55,7 @@ TOPOLOGY_FACTORIES: dict[str, TopologyFactory] = {
     "hypercube": HypercubeTopology,
     "slimnoc": SlimNoCTopology,
     "flattened_butterfly": FlattenedButterflyTopology,
-    "ruche": _make_ruche,
+    "ruche": RucheTopology,
     "sparse_hamming": _make_sparse_hamming,
 }
 
@@ -116,6 +118,14 @@ def make_topology(name: str, rows: int, cols: int, endpoints_per_tile: int = 1, 
 
     Extra keyword arguments are forwarded to the generator (e.g. ``s_r`` and
     ``s_c`` for the sparse Hamming graph, ``row_skip`` for Ruche networks).
+
+    Raises
+    ------
+    ValidationError
+        On an unknown or inapplicable topology, or on keyword arguments the
+        generator does not accept.  They are checked against the generator's
+        signature before it runs, so a ``TypeError`` raised inside a
+        generator still propagates as one.
     """
     if name not in TOPOLOGY_FACTORIES:
         raise ValidationError(f"unknown topology {name!r}; known: {available_topologies()}")
@@ -124,4 +134,10 @@ def make_topology(name: str, rows: int, cols: int, endpoints_per_tile: int = 1, 
             f"topology {name!r} is not applicable to a {rows}x{cols} grid"
         )
     factory = TOPOLOGY_FACTORIES[name]
+    try:
+        inspect.signature(factory).bind(
+            rows, cols, endpoints_per_tile=endpoints_per_tile, **kwargs
+        )
+    except TypeError as error:
+        raise ValidationError(f"invalid topology kwargs for {name!r}: {error}") from None
     return factory(rows, cols, endpoints_per_tile=endpoints_per_tile, **kwargs)

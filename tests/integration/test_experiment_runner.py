@@ -1,13 +1,11 @@
-"""Integration tests of campaign execution and on-disk memoization.
+"""Integration tests of campaign execution and memoization in the store.
 
 The acceptance criteria of the experiment API: a campaign reproduces the
 same prediction values as direct ``PredictionToolchain.predict`` calls, and a
-second run of the same campaign is served entirely from the on-disk cache.
+second run of the same campaign is served entirely from the result store.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -62,12 +60,11 @@ def test_campaign_matches_direct_toolchain_calls():
 
 def test_second_run_hits_on_disk_cache(tmp_path):
     campaign = small_campaign()
-    runner = ExperimentRunner(cache_dir=tmp_path / "cache")
+    runner = ExperimentRunner(store=tmp_path / "results.sqlite")
 
     first = runner.run(campaign)
     assert first.num_cached == 0
-    cache_files = sorted((tmp_path / "cache").glob("exp-*.json"))
-    assert len(cache_files) == len(campaign)
+    assert len(runner.store) == len(campaign)
 
     second = runner.run(campaign)
     assert second.num_cached == len(campaign)
@@ -83,24 +80,10 @@ def test_cache_is_shared_between_runner_instances(tmp_path):
     spec = ExperimentSpec(
         topology="mesh", rows=4, cols=4, arch={"endpoint_area_ge": 5e6}
     )
-    first = ExperimentRunner(cache_dir=tmp_path).run(spec)
+    first = ExperimentRunner(store=tmp_path / "results.sqlite").run(spec)
     assert not first[0].cached
-    second = ExperimentRunner(cache_dir=tmp_path).run(spec)
+    second = ExperimentRunner(store=tmp_path / "results.sqlite").run(spec)
     assert second[0].cached
-
-
-def test_corrupt_cache_entry_is_recomputed(tmp_path):
-    spec = ExperimentSpec(
-        topology="mesh", rows=4, cols=4, arch={"endpoint_area_ge": 5e6}
-    )
-    runner = ExperimentRunner(cache_dir=tmp_path)
-    runner.run(spec)
-    path = runner.cache_path(spec)
-    path.write_text("{not json")
-    result = runner.run(spec)[0]
-    assert not result.cached
-    # The recomputation repairs the cache entry.
-    assert json.loads(path.read_text())["spec"]["topology"] == "mesh"
 
 
 def test_parallel_run_matches_serial(tmp_path):
@@ -111,7 +94,9 @@ def test_parallel_run_matches_serial(tmp_path):
         arch={"endpoint_area_ge": 5e6},
     )
     serial = ExperimentRunner().run(campaign)
-    parallel = ExperimentRunner(cache_dir=tmp_path).run(campaign, parallel=2)
+    parallel = ExperimentRunner(store=tmp_path / "results.sqlite").run(
+        campaign, parallel=2
+    )
     for a, b in zip(serial, parallel):
         assert a.spec == b.spec
         for metric in METRICS:
@@ -122,18 +107,23 @@ def test_parallel_run_matches_serial(tmp_path):
 
 def test_duplicate_specs_run_once(tmp_path):
     spec = ExperimentSpec(topology="mesh", rows=4, cols=4, arch={"endpoint_area_ge": 5e6})
-    results = ExperimentRunner(cache_dir=tmp_path).run([spec, spec.with_overrides(label="twin")])
+    runner = ExperimentRunner(store=tmp_path / "results.sqlite")
+    results = runner.run([spec, spec.with_overrides(label="twin")])
     assert len(results) == 2
     assert results[0].prediction.area_overhead == results[1].prediction.area_overhead
-    assert len(list(tmp_path.glob("exp-*.json"))) == 1
+    assert len(runner.store) == 1
 
 
 def test_figure6_campaign_reproduces_benchmark_claims(tmp_path):
     # The Figure 6a panel through the declarative path: the paper's headline
     # claim (best topology within the 40% budget is the SHG) must hold.
-    results = ExperimentRunner(cache_dir=tmp_path).run(figure6_campaign("a"))
+    results = ExperimentRunner(store=tmp_path / "results.sqlite").run(
+        figure6_campaign("a")
+    )
     best = results.best_within_area_budget(0.40)
     assert best is not None
     assert best.topology_name == "Sparse Hamming Graph"
-    rerun = ExperimentRunner(cache_dir=tmp_path).run(figure6_campaign("a"))
+    rerun = ExperimentRunner(store=tmp_path / "results.sqlite").run(
+        figure6_campaign("a")
+    )
     assert rerun.num_cached == len(rerun)

@@ -80,7 +80,7 @@ class TestDeterminism:
 
 class TestMemoization:
     def test_rerun_is_served_entirely_from_cache(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=tmp_path / "cache")
+        runner = ExperimentRunner(store=tmp_path / "results.sqlite")
         first = run_search(WORKLOAD_SPEC, runner=runner)
         assert first.num_cached == 0
         second = run_search(WORKLOAD_SPEC, runner=runner)
@@ -95,7 +95,7 @@ class TestMemoization:
     def test_cached_predictions_rank_like_live_ones(self, tmp_path):
         # Workload scores read per-phase stats, which survive serialization;
         # the cached re-run must therefore reproduce the exact scores.
-        runner = ExperimentRunner(cache_dir=tmp_path / "cache")
+        runner = ExperimentRunner(store=tmp_path / "results.sqlite")
         live = run_search(WORKLOAD_SPEC, runner=runner)
         cached = run_search(WORKLOAD_SPEC, runner=runner)
         assert [e.score for r in live.rungs for e in r.entries] == [

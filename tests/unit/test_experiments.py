@@ -254,6 +254,38 @@ class TestCli:
         assert csv_path.exists()
         assert "mesh" in capsys.readouterr().out
 
+    def test_campaign_rerun_against_store_is_served_from_cache(self, tmp_path, capsys):
+        campaign = Campaign.grid(
+            topologies=["mesh", "torus"], sizes=[(4, 4)],
+            arch={"endpoint_area_ge": 5e6},
+        )
+        path = campaign.save(tmp_path / "campaign.json")
+        argv = ["campaign", "--spec", str(path), "--store", str(tmp_path / "r.sqlite")]
+        assert cli_main(argv) == 0
+        assert "served from cache" not in capsys.readouterr().out
+        assert cli_main(argv) == 0
+        assert "(2/2 results served from cache)" in capsys.readouterr().out
+
+    def test_optimize_store_rows_are_queryable_by_search_id(self, tmp_path, capsys):
+        store = str(tmp_path / "r.sqlite")
+        code = cli_main(
+            ["optimize", "--rows", "4", "--cols", "4",
+             "--space", '{"mesh": {}, "torus": {}}', "--survivors", "2",
+             "--baseline", "none",
+             "--sim", '{"warmup_cycles": 10, "measurement_cycles": 30, "drain_max_cycles": 150}',
+             "--store", store, "--json"]
+        )
+        assert code == 0
+        result = json.loads(capsys.readouterr().out)
+        search_id = result["search_id"]
+        evaluated = {
+            entry["spec_id"] for rung in result["rungs"] for entry in rung["entries"]
+        }
+        assert cli_main(["query", "--db", store, "--search-id", search_id, "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert {row["spec"]["topology"] for row in rows} == {"mesh", "torus"}
+        assert len(rows) == len(evaluated)
+
     def test_validation_error_is_reported_not_raised(self, capsys):
         code = cli_main(
             ["predict", "--topology", "mesh", "--rows", "4", "--cols", "4",
@@ -346,7 +378,7 @@ class TestWorkloadSpecs:
             workload=WORKLOAD,
             sim={"drain_max_cycles": 4000},
         )
-        runner = ExperimentRunner(cache_dir=tmp_path)
+        runner = ExperimentRunner(store=tmp_path / "results.sqlite")
         fresh = runner.run(spec)[0]
         assert not fresh.cached
         assert set(fresh.prediction.details["replay"].phases) == {"iter0", "iter1"}
@@ -371,7 +403,7 @@ class TestWorkloadSpecs:
             workload=WORKLOAD,
             sim={"drain_max_cycles": 4000},
         )
-        runner = ExperimentRunner(cache_dir=tmp_path)
+        runner = ExperimentRunner(store=tmp_path / "results.sqlite")
         fresh = runner.run(spec)[0]
         replay = fresh.prediction.details["replay"]
         cached = runner.run(spec)[0]
@@ -522,6 +554,14 @@ class TestWorkloadCli:
         )
         assert code == 2
         assert "invalid topology kwargs" in capsys.readouterr().err
+        predict = ["predict", "--topology", "mesh", "--rows", "4", "--cols", "4"]
+        for flags, message in (
+            (["--topology-kwargs", '{"bogus": 1}'], "invalid topology kwargs"),
+            (["--topology-kwargs", "5"], "--topology-kwargs must be a JSON object"),
+            (["--arch", "[1]"], "--arch must be a JSON object"),
+        ):
+            assert cli_main(predict + flags) == 2
+            assert message in capsys.readouterr().err
         code = cli_main(
             ["gen-trace", "--workload", "stencil2d", "--rows", "4", "--cols", "4",
              "--params", '{"bogus": 1}', "--output", "/tmp/never.jsonl"]
@@ -696,7 +736,7 @@ class TestEngineThreading:
             performance_mode="simulation", sim=self.FAST_SIM,
         )
         soa = reference.with_overrides(sim={**self.FAST_SIM, "engine": "soa"})
-        runner = ExperimentRunner(cache_dir=tmp_path)
+        runner = ExperimentRunner(store=tmp_path / "results.sqlite")
         first = runner.run(reference)
         assert first.num_cached == 0
         # The engine-distinct spec hits the same cache entry.
@@ -723,7 +763,7 @@ class TestEngineThreading:
     def test_progress_reports_cache_hits_once(self, tmp_path, capsys):
         from repro.experiments import ExperimentRunner
 
-        runner = ExperimentRunner(cache_dir=tmp_path)
+        runner = ExperimentRunner(store=tmp_path / "results.sqlite")
         runner.run([small_spec(), small_spec(traffic="tornado")])
         capsys.readouterr()
         runner.run(
@@ -824,9 +864,10 @@ class TestEngineCli:
             '{"rows": 4, "cols": 4, "space": {"mesh": {}}, '
             '"objective": {"metric": "zero_load_latency"}}'
         )
-        code = cli_main(["optimize", "--spec", str(path), "--engine", "soa"])
-        assert code == 2
-        assert "drop --engine" in capsys.readouterr().err
+        for flag, value in (("--engine", "soa"), ("--audit-interval", "5")):
+            code = cli_main(["optimize", "--spec", str(path), flag, value])
+            assert code == 2
+            assert f"drop {flag}" in capsys.readouterr().err
 
 
 class TestVerifyLintCli:

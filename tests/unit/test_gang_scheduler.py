@@ -129,20 +129,22 @@ def test_run_gang_lane_recycling_is_width_invariant():
 # ------------------------------------------------------ runner integration
 
 def test_runner_gang_cache_files_are_byte_identical(tmp_path):
-    """vec-ganged campaign writes the same cache bytes as vec-sequential."""
+    """vec-ganged campaign stores the same payload bytes as vec-sequential."""
     specs = [sim_spec(seed) for seed in (1, 2, 3)]
 
-    seq_dir, gang_dir = tmp_path / "seq", tmp_path / "gang"
-    seq_runner = ExperimentRunner(cache_dir=seq_dir)
+    seq_runner = ExperimentRunner(store=tmp_path / "seq.sqlite")
     for spec in specs:  # one spec per call: no gang forms
         seq_runner.run([spec])
-    ExperimentRunner(cache_dir=gang_dir).run(specs)
+    gang_runner = ExperimentRunner(store=tmp_path / "gang.sqlite")
+    gang_runner.run(specs)
 
-    seq_files = sorted(p.name for p in seq_dir.glob("exp-*.json"))
-    gang_files = sorted(p.name for p in gang_dir.glob("exp-*.json"))
-    assert seq_files == gang_files and len(seq_files) == len(specs)
-    for name in seq_files:
-        assert (seq_dir / name).read_bytes() == (gang_dir / name).read_bytes()
+    seq_ids = sorted(seq_runner.store.spec_ids())
+    gang_ids = sorted(gang_runner.store.spec_ids())
+    assert seq_ids == gang_ids and len(seq_ids) == len(specs)
+    for spec_id in seq_ids:
+        assert json.dumps(seq_runner.store.get(spec_id).result, sort_keys=True) == (
+            json.dumps(gang_runner.store.get(spec_id).result, sort_keys=True)
+        )
 
 
 def test_runner_gang_cache_serves_other_engines(tmp_path):
@@ -150,7 +152,7 @@ def test_runner_gang_cache_serves_other_engines(tmp_path):
     vec_specs = [sim_spec(seed) for seed in (1, 2, 3)]
     soa_specs = [spec.with_overrides(sim={**spec.sim, "engine": "soa"})
                  for spec in vec_specs]
-    runner = ExperimentRunner(cache_dir=tmp_path / "cache")
+    runner = ExperimentRunner(store=tmp_path / "results.sqlite")
     batch = runner.run(vec_specs)
     assert batch.num_cached == 0
     again = runner.run(soa_specs)
@@ -164,7 +166,7 @@ def test_runner_parallel_gangs_match_serial(tmp_path):
         sim_spec(9, topology="torus"),  # singleton: runs solo
         analytical_spec(),
     ]
-    serial = ExperimentRunner(cache_dir=tmp_path / "a").run(specs)
-    parallel = ExperimentRunner(cache_dir=tmp_path / "b").run(specs, parallel=2)
+    serial = ExperimentRunner(store=tmp_path / "a.sqlite").run(specs)
+    parallel = ExperimentRunner(store=tmp_path / "b.sqlite").run(specs, parallel=2)
     for spec, got, want in zip(specs, parallel.results, serial.results):
         assert payload(got.prediction) == payload(want.prediction), spec.label

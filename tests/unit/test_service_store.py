@@ -6,13 +6,15 @@ import json
 
 import pytest
 
-from repro.experiments import ExperimentSpec
-from repro.experiments.cache import DirectoryCache
+import shutil
+from pathlib import Path
+
+from repro.experiments import ExperimentRunner, ExperimentSpec
 from repro.experiments.serialization import (
     RESULT_SCHEMA_VERSION,
     prediction_to_dict,
 )
-from repro.service.store import STORE_SCHEMA_VERSION, ResultStore, StoreCache
+from repro.service.store import STORE_SCHEMA_VERSION, ResultStore
 from repro.utils.validation import ValidationError
 
 
@@ -138,45 +140,56 @@ def test_rejects_newer_schema_version(tmp_path):
 
 
 def test_store_cache_backend_roundtrip(store):
-    cache = StoreCache(store, search_id="s-9")
+    runner = ExperimentRunner(store=store, search_id="s-9")
     spec = spec_for()
-    assert cache.load(spec) is None
-    prediction = spec.run()
-    cache.save(spec, prediction)
-    loaded = cache.load(spec)
-    assert loaded is not None
-    assert prediction_to_dict(loaded) == prediction_to_dict(prediction)
+    miss = runner.run(spec)[0]
+    assert miss.cached is False
+    hit = runner.run(spec)[0]
+    assert hit.cached is True
+    assert prediction_to_dict(hit.prediction) == prediction_to_dict(miss.prediction)
     assert store.get(spec.spec_id).search_id == "s-9"
+
+
+#: Three entries a legacy memoization directory holds for the mesh, torus
+#: and hypercube 4x4 uniform-traffic campaign.
+LEGACY_CACHE = Path(__file__).resolve().parents[1] / "fixtures" / "legacy-cache"
 
 
 def test_import_cache_dir_validates_entries(store, tmp_path):
     cache_dir = tmp_path / "cache"
-    cache = DirectoryCache(cache_dir)
-    spec = spec_for()
-    cache.save(spec, spec.run())
+    shutil.copytree(LEGACY_CACHE, cache_dir)
+    entry = sorted(cache_dir.glob("exp-*.json"))[0]
+    payload = json.loads(entry.read_text())
 
-    # Truncated file, junk JSON, and a renamed (hash-mismatched) entry.
+    # Truncated file, junk JSON, a renamed (hash-mismatched) entry, and an
+    # entry without its result.
     (cache_dir / "exp-truncated.json").write_text('{"spec": {"topo')
     (cache_dir / "exp-junk.json").write_text('[1, 2, 3]')
     renamed = cache_dir / "exp-0000000000000000.json"
-    renamed.write_text(cache.path_for(spec).read_text())
+    renamed.write_text(entry.read_text())
+    no_result = cache_dir / "exp-1111111111111111.json"
+    no_result.write_text(json.dumps({"spec": payload["spec"]}))
 
     report = store.import_cache_dir(cache_dir)
-    assert report.imported == 1
+    assert report.imported == 3
     assert report.already_present == 0
     assert sorted(name for name, _ in report.invalid) == [
         "exp-0000000000000000.json",
+        "exp-1111111111111111.json",
         "exp-junk.json",
         "exp-truncated.json",
     ]
-    assert report.total == 4
-    assert spec.spec_id in store
+    reasons = dict(report.invalid)
+    assert "missing keys: ['result']" in reasons["exp-1111111111111111.json"]
+    assert "but exp-0000000000000000 was requested" in reasons["exp-0000000000000000.json"]
+    assert report.total == 7
+    assert entry.stem in store
 
     # Importing again refreshes rather than duplicating.
     again = store.import_cache_dir(cache_dir)
     assert again.imported == 0
-    assert again.already_present == 1
-    assert len(store) == 1
+    assert again.already_present == 3
+    assert len(store) == 3
 
 
 def test_import_cache_dir_missing_directory(store, tmp_path):

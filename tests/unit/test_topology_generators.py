@@ -1,5 +1,7 @@
 """Unit tests for the established topology generators (Figure 1 / Table I)."""
 
+import inspect
+
 import pytest
 
 from repro.topologies import (
@@ -13,6 +15,12 @@ from repro.topologies import (
 )
 from repro.topologies.folded_torus import folded_cycle_links
 from repro.topologies.hypercube import gray_code, hypercube_applicable
+from repro.topologies.registry import (
+    TOPOLOGY_FACTORIES,
+    available_topologies,
+    is_applicable,
+    make_topology,
+)
 from repro.topologies.ring import ring_order
 from repro.utils.validation import ValidationError
 
@@ -201,3 +209,33 @@ class TestRuche:
         ruche = RucheTopology(5, 6, row_skip=3, col_skip=2)
         shg = SparseHammingGraph(5, 6, s_r={3}, s_c={2})
         assert set(ruche.links) == set(shg.links)
+
+
+class TestRegistryKwargs:
+    """``make_topology`` is the one place that rejects generator kwargs."""
+
+    @staticmethod
+    def grid(key):
+        return next(grid for grid in ((4, 4), (3, 6)) if is_applicable(key, *grid))
+
+    @pytest.mark.parametrize("key", available_topologies())
+    def test_rejects_unknown_kwargs(self, key):
+        with pytest.raises(ValidationError, match=f"invalid topology kwargs for '{key}'"):
+            make_topology(key, *self.grid(key), bogus=1)
+
+    @pytest.mark.parametrize("key", available_topologies())
+    def test_factory_signature_matches_the_built_class(self, key):
+        # Kwargs are checked against the registered factory's signature, so
+        # a wrapper must declare exactly the parameters of its class.
+        topology = make_topology(key, *self.grid(key))
+        assert list(inspect.signature(TOPOLOGY_FACTORIES[key]).parameters) == list(
+            inspect.signature(type(topology)).parameters
+        )
+
+    def test_type_errors_inside_a_generator_propagate(self, monkeypatch):
+        def broken(rows, cols, endpoints_per_tile=1):
+            raise TypeError("bug inside the generator")
+
+        monkeypatch.setitem(TOPOLOGY_FACTORIES, "mesh", broken)
+        with pytest.raises(TypeError, match="bug inside the generator"):
+            make_topology("mesh", 4, 4)
