@@ -35,6 +35,7 @@ from repro.experiments.runner import ExperimentRunner, prediction_to_dict
 from repro.optimize.objectives import Constraints, Objective
 from repro.optimize.space import Candidate
 from repro.optimize.spec import SearchSpec
+from repro.simulator.routing_tables import build_routing_tables
 from repro.simulator.simulation import SimulationConfig
 from repro.toolchain.results import PredictionResult
 from repro.toolchain.screening import (
@@ -314,6 +315,7 @@ def _screen(
                 )
             )
             continue
+        routing = build_routing_tables(topology)
         estimate = screen_topology(
             topology,
             model,
@@ -321,6 +323,7 @@ def _screen(
             trace=trace,
             packet_size_flits=base_sim.packet_size_flits,
             router_pipeline_cycles=base_sim.router_pipeline_cycles,
+            routing=routing,
         )
         reasons = tuple(constraints.violations(estimate))
         verified = None
@@ -331,7 +334,9 @@ def _screen(
             # fail (escape-CDG cycle, unreachable pair, ...) must never
             # reach the cycle-accurate stage — it could deadlock the
             # simulation or silently produce garbage statistics.
-            report = verify_topology(topology, config=base_sim.network_config())
+            report = verify_topology(
+                topology, config=base_sim.network_config(), routing=routing
+            )
             verified = report.ok
             if not report.ok:
                 reasons = tuple(

@@ -30,9 +30,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.topologies.base import Topology
 from repro.utils.validation import ValidationError
+
+
+#: A per-node table indexed ``table[node][destination]``: the builder makes
+#: lists, hand-built tables may use one dict per node.
+NodeTable = Sequence[Sequence[int] | Mapping[int, int]]
 
 
 @dataclass
@@ -50,11 +58,14 @@ class RoutingTables:
         ``hop_distance[node][destination]`` -> minimal hop count.
     tree_parent:
         Parent of every node in the escape spanning tree (root's parent is -1).
+
+    The ``node == destination`` entries of ``minimal`` and ``escape`` carry no
+    route (a packet there ejects); the builder sets them to ``node``.
     """
 
-    minimal: list[dict[int, int]]
-    escape: list[dict[int, int]]
-    hop_distance: list[dict[int, int]]
+    minimal: NodeTable
+    escape: NodeTable
+    hop_distance: NodeTable
     tree_parent: list[int]
 
     def minimal_next_hop(self, node: int, destination: int) -> int:
@@ -92,52 +103,70 @@ class RoutingTables:
         return total / (num * (num - 1))
 
 
-def _minimal_tables(topology: Topology) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-    """Hop-minimal next-hop tables with physical-length tie-breaking."""
+#: Tie-break key of a neighbour that is not one hop closer (never chosen).
+_NO_KEY = np.iinfo(np.int64).max
+
+
+def _neighbor_array(topology: Topology) -> np.ndarray:
+    """``(N + 1) x degree`` neighbour indices padded with the dummy node ``N``.
+
+    Row ``N`` belongs to the dummy node itself, so a padded slot can be
+    followed like any other without going out of bounds.
+    """
     num = topology.num_tiles
     neighbors = [topology.neighbors(node) for node in range(num)]
-    coords = [topology.coord(node) for node in range(num)]
+    padded = np.full((num + 1, max(map(len, neighbors))), num, dtype=np.int64)
+    for node, row in enumerate(neighbors):
+        padded[node, : len(row)] = row
+    return padded
 
-    hop_distance: list[dict[int, int]] = [dict() for _ in range(num)]
-    minimal: list[dict[int, int]] = [dict() for _ in range(num)]
 
-    for destination in range(num):
-        # BFS from the destination gives hop distances to that destination.
-        dist = {destination: 0}
-        queue = deque([destination])
-        while queue:
-            node = queue.popleft()
-            for neighbor in neighbors[node]:
-                if neighbor not in dist:
-                    dist[neighbor] = dist[node] + 1
-                    queue.append(neighbor)
-        if len(dist) != num:
-            raise ValidationError("topology is not connected; cannot build routing tables")
-        for node, hops in dist.items():
-            hop_distance[node][destination] = hops
+def _minimal_tables(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
+    """Hop-minimal next-hop tables with physical-length tie-breaking.
 
-        # Among hop-minimal next hops, prefer the physically shortest overall
-        # continuation (dynamic program over increasing hop distance).
-        order = sorted(range(num), key=lambda n: dist[n])
-        best_phys: dict[int, float] = {destination: 0.0}
-        for node in order:
-            if node == destination:
-                continue
-            level = dist[node]
-            best_choice: tuple[float, int] | None = None
-            for neighbor in neighbors[node]:
-                if dist[neighbor] != level - 1:
-                    continue
-                length = abs(coords[node].row - coords[neighbor].row) + abs(
-                    coords[node].col - coords[neighbor].col
-                )
-                candidate = (best_phys[neighbor] + length, neighbor)
-                if best_choice is None or candidate < best_choice:
-                    best_choice = candidate
-            assert best_choice is not None  # connected graph: some neighbour is closer
-            best_phys[node] = best_choice[0]
-            minimal[node][destination] = best_choice[1]
-    return minimal, hop_distance
+    Breadth-first search runs from all destinations at once, one hop level at
+    a time, over the ``N x N`` entries ``(node, destination)``.  When a level
+    is reached, a dynamic program picks each of its entries' next hop among
+    the neighbours one level closer: the one with the physically shortest
+    overall continuation, then the lowest neighbour index.  Lengths are
+    integers, so the single key ``(continuation + length) * N + neighbour``
+    orders candidates exactly like the tuple ``(continuation + length,
+    neighbour)``.  Returns ``(minimal, hop_distance)`` as ``N x N`` arrays; the
+    diagonal of ``minimal`` holds the node itself.
+    """
+    num = topology.num_tiles
+    neighbors = _neighbor_array(topology)
+    rows = np.array([topology.coord(node).row for node in range(num)] + [0])
+    cols = np.array([topology.coord(node).col for node in range(num)] + [0])
+    length = np.abs(rows[:, None] - rows[neighbors]) + np.abs(cols[:, None] - cols[neighbors])
+
+    # dist[node, destination]: -1 while unreached; the dummy row is -2 so it
+    # is never reached and never one level closer than a real node.
+    dist = np.full((num + 1, num), -1, dtype=np.int64)
+    dist[num] = -2
+    best_phys = np.zeros((num + 1, num), dtype=np.int64)
+    minimal = np.empty((num, num), dtype=np.int64)
+    diagonal = np.arange(num)
+    dist[diagonal, diagonal] = 0
+    minimal[diagonal, diagonal] = diagonal
+    nodes, destinations = diagonal, diagonal
+    level = 0
+    while nodes.size:
+        if level:
+            best = np.full(nodes.size, _NO_KEY, dtype=np.int64)
+            for slot in range(neighbors.shape[1]):
+                neighbor = neighbors[nodes, slot]
+                key = (best_phys[neighbor, destinations] + length[nodes, slot]) * num + neighbor
+                key[dist[neighbor, destinations] != level - 1] = _NO_KEY
+                np.minimum(best, key, out=best)
+            best_phys[nodes, destinations], minimal[nodes, destinations] = np.divmod(best, num)
+        for slot in range(neighbors.shape[1]):
+            neighbor = neighbors[nodes, slot]
+            fresh = dist[neighbor, destinations] == -1
+            dist[neighbor[fresh], destinations[fresh]] = level + 1
+        level += 1
+        nodes, destinations = np.nonzero(dist == level)
+    return minimal, dist[:num]
 
 
 def _spanning_tree(topology: Topology, root: int = 0) -> list[int]:
@@ -151,35 +180,36 @@ def _spanning_tree(topology: Topology, root: int = 0) -> list[int]:
             if parent[neighbor] == -2:
                 parent[neighbor] = node
                 queue.append(neighbor)
-    if any(p == -2 for p in parent):
-        raise ValidationError("topology is not connected; cannot build escape tree")
     return parent
 
 
-def _escape_tables(topology: Topology, parent: list[int]) -> list[dict[int, int]]:
+def _escape_tables(parent: list[int]) -> np.ndarray:
     """Spanning-tree next-hop tables (up to the common ancestor, then down).
 
     The default next hop towards any destination is the node's tree parent
     ("up"); for every node that lies on the tree path from the root to the
     destination the next hop is overridden with the child leading towards the
-    destination ("down").
+    destination ("down").  ``ancestor[d, t]`` is the ancestor of ``d`` at
+    depth ``t``, so node ``n`` lies on that path exactly when
+    ``ancestor[d, depth[n]] == n``, and its child there is
+    ``ancestor[d, depth[n] + 1]``.  The diagonal holds the node itself.
     """
-    num = topology.num_tiles
-    escape: list[dict[int, int]] = [dict() for _ in range(num)]
-    for destination in range(num):
-        # Ancestor chain of the destination, starting at the destination.
-        chain = [destination]
-        while parent[chain[-1]] != -1:
-            chain.append(parent[chain[-1]])
-        on_chain = {node: index for index, node in enumerate(chain)}
-        for node in range(num):
-            if node == destination:
-                continue
-            if node in on_chain:
-                # Go down the tree: the next hop is the previous chain element.
-                escape[node][destination] = chain[on_chain[node] - 1]
-            else:
-                escape[node][destination] = parent[node]
+    num = len(parent)
+    parents = np.array(parent, dtype=np.int64)
+    depth = np.zeros(num, dtype=np.int64)
+    above = parents
+    while (above >= 0).any():
+        depth += above >= 0
+        above = np.where(above >= 0, parents[above], -1)
+    ancestor = np.full((num, int(depth.max()) + 2), -1, dtype=np.int64)
+    nodes = np.arange(num)
+    ancestor[nodes, depth] = nodes
+    for level in range(int(depth.max()), 0, -1):
+        deeper = depth >= level
+        ancestor[deeper, level - 1] = parents[ancestor[deeper, level]]
+    on_path = ancestor[:, depth].T == nodes[:, None]
+    escape = np.where(on_path, ancestor[:, depth + 1].T, parents[:, None])
+    escape[nodes, nodes] = nodes
     return escape
 
 
@@ -188,10 +218,9 @@ def build_routing_tables(topology: Topology) -> RoutingTables:
     topology.validate_connected()
     minimal, hop_distance = _minimal_tables(topology)
     parent = _spanning_tree(topology, root=0)
-    escape = _escape_tables(topology, parent)
     return RoutingTables(
-        minimal=minimal,
-        escape=escape,
-        hop_distance=hop_distance,
+        minimal=minimal.tolist(),
+        escape=_escape_tables(parent).tolist(),
+        hop_distance=hop_distance.tolist(),
         tree_parent=parent,
     )

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.physical.model import NoCPhysicalModel
 from repro.physical.parameters import ArchitecturalParameters
-from repro.simulator.routing_tables import build_routing_tables
+from repro.simulator.routing_tables import RoutingTables, build_routing_tables
 from repro.toolchain.analytical import analytical_performance, pair_weights_from_trace
 from repro.topologies.base import Topology
 
@@ -76,16 +76,18 @@ def screen_topology(
     trace: "WorkloadTrace | None" = None,
     packet_size_flits: int = 4,
     router_pipeline_cycles: int = 2,
+    routing: RoutingTables | None = None,
 ) -> ScreeningEstimate:
     """Screen one topology with the physical + analytical models.
 
     The physical model supplies the per-link latency estimates that
     parameterise the analytical latency, exactly as in the full prediction
     toolchain — screening and simulation disagree only in how the performance
-    numbers are obtained, never in the physical inputs.
+    numbers are obtained, never in the physical inputs.  ``routing`` reuses
+    tables the caller already built (they are built here otherwise).
     """
     physical = model.evaluate(topology)
-    routing = build_routing_tables(topology)
+    routing = routing or build_routing_tables(topology)
     analytical = analytical_performance(
         topology,
         link_latencies=physical.link_latencies,

@@ -7,7 +7,10 @@ import pytest
 
 from repro.arch.knc import KNC_SCENARIOS
 from repro.optimize import Candidate, Constraints, Objective, SearchSpace, SearchSpec
+from repro.physical.model import NoCPhysicalModel
+from repro.simulator.routing_tables import build_routing_tables
 from repro.toolchain import pair_weights_from_trace, screen_topologies
+from repro.toolchain.screening import screen_topology
 from repro.toolchain.results import PredictionResult
 from repro.simulator.statistics import PhaseStats
 from repro.topologies.mesh import MeshTopology
@@ -304,6 +307,39 @@ class TestScreening:
         assert estimate.trace_latency_cycles is None
         assert estimate.trace_saturation_throughput is None
         assert estimate.max_link_length == 1
+
+    def test_screening_builds_routing_tables_once_per_candidate(self, monkeypatch):
+        import repro.optimize.search as search
+        import repro.simulator.network as network
+        import repro.toolchain.screening as screening
+
+        built = []
+
+        def counting_build(topology):
+            built.append(topology.name)
+            return build_routing_tables(topology)
+
+        for module in (search, screening, network):
+            monkeypatch.setattr(module, "build_routing_tables", counting_build)
+        spec = SearchSpec(
+            rows=4,
+            cols=4,
+            space={"mesh": {}, "torus": {}, "sparse_hamming": {"max_configurations": 2}},
+            objective={"metric": "zero_load_latency"},
+        )
+        candidates = spec.build_space().enumerate_candidates()
+        records = search._screen(
+            spec, candidates, spec.build_objective(), spec.build_constraints()
+        )
+        assert all(record.verified for record in records)
+        assert len(built) == len(candidates) == len(records)
+
+    def test_screen_topology_reuses_given_routing_tables(self):
+        topology = MeshTopology(4, 4)
+        model = NoCPhysicalModel(KNC_SCENARIOS["a"].parameters().scaled(num_tiles=16))
+        assert screen_topology(
+            topology, model, routing=build_routing_tables(topology)
+        ) == screen_topology(topology, model)
 
 
 # ---------------------------------------------------------------- search spec
