@@ -208,8 +208,8 @@ def run_workload(name: str, engines: list[str], repeats: int = 3) -> list[dict]:
 def run_batched_sweep(engines: list[str], repeats: int = 1) -> list[dict]:
     """Benchmark the multi-point sweep: sequential engines vs one vec batch.
 
-    The sequential baselines (``reference`` — the default engine a sweep
-    would otherwise use — and ``soa``, the fastest single-point kernel) run
+    The sequential baselines (``reference``, the ground-truth kernel, and
+    ``soa``, the fastest single-point kernel and the default engine) run
     the 24 lanes one after another on the shared compiled network; ``vec``
     runs them as a single fused batch.  Every fused lane's statistics must
     equal its sequential ``soa`` run exactly, so this case extends the

@@ -59,9 +59,10 @@ Subcommands
 
 Every subcommand that launches cycle-accurate simulations (``predict``,
 ``replay``, ``campaign``, ``optimize``) accepts ``--engine`` to pick the
-simulation kernel (``reference``, ``soa``, ``sanitizer`` or ``vec``; all
-are bit-identical, so the choice only affects speed and checking — ``vec``
-additionally batches sweep load points into one fused kernel).  ``predict``,
+simulation kernel (``soa`` by default, or ``reference``, ``sanitizer`` or
+``vec``; all are bit-identical, so the choice only affects speed and
+checking — ``vec`` additionally batches sweep load points into one fused
+kernel).  ``predict``,
 ``campaign``, ``figure6`` and ``optimize`` memoize results in the durable
 SQLite result store named by ``--store``.  Flags shared by several
 subcommands are declared once, as parent parsers (see :func:`build_parser`).
@@ -899,7 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         default=None,
         choices=available_engines(),
-        help="simulation engine (bit-identical; soa is the fast kernel)",
+        help="simulation engine (bit-identical; default soa, the fast kernel)",
     )
     engine.add_argument(
         "--audit-interval", type=int, default=None,

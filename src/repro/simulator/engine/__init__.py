@@ -7,12 +7,13 @@ the :class:`~repro.simulator.engine.base.Engine` interface:
     The object-graph kernel (:class:`ReferenceEngine`) — one
     :class:`~repro.simulator.router.Router` object per node, flit objects in
     per-VC deques.  The semantic ground truth; it produced the goldens in
-    ``tests/unit/test_simulation_golden.py``.
+    ``tests/unit/test_simulation_golden.py`` and is the baseline every
+    cross-engine check names explicitly.
 ``soa``
     The struct-of-arrays kernel (:class:`SoAEngine`) — all hot state in flat
     preallocated columns indexed by compiled channel/VC ids.  Bit-identical
     to ``reference`` and several times faster (see ``docs/PERFORMANCE.md``
-    and ``BENCH_simulator.json``).
+    and ``BENCH_simulator.json``).  The default engine.
 ``sanitizer``
     The reference kernel plus per-cycle runtime invariant checks
     (:class:`SanitizerEngine`) — flit/credit conservation, buffer bounds,
@@ -65,8 +66,10 @@ ENGINE_FACTORIES: dict[str, Type[Engine]] = {
     VecEngine.name: VecEngine,
 }
 
-#: The engine a :class:`SimulationConfig` uses unless told otherwise.
-DEFAULT_ENGINE = ReferenceEngine.name
+#: The engine a :class:`SimulationConfig` uses unless told otherwise: the
+#: fastest single-run kernel.  Engines are bit-identical, so the default
+#: changes speed only, never a result or a memoization key.
+DEFAULT_ENGINE = SoAEngine.name
 
 
 def available_engines() -> list[str]:

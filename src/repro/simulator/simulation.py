@@ -81,10 +81,11 @@ class SimulationConfig:
         RNG seed (traffic generation).
     engine:
         Simulation-engine name (see :mod:`repro.simulator.engine`):
-        ``"reference"`` (object-graph kernel, the default), ``"soa"``
-        (struct-of-arrays kernel, bit-identical and several times faster)
-        or ``"sanitizer"`` (reference kernel plus per-cycle invariant
-        checks, bit-identical and slower).  Because all engines produce
+        ``"soa"`` (struct-of-arrays kernel, the default), ``"reference"``
+        (object-graph kernel, the bit-identical ground truth and several
+        times slower), ``"sanitizer"`` (reference kernel plus per-cycle
+        invariant checks, bit-identical and slower) or ``"vec"`` (numpy
+        kernel with a batch axis).  Because all engines produce
         identical statistics, the engine is *not* part of an experiment's
         identity hash.
     audit_interval:

@@ -14,6 +14,13 @@ from repro.simulator.simulation import SimulationConfig
 from repro.toolchain.predict import PredictionToolchain
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    """Register the suite's custom markers (``-m "not slow"`` skips slow tests)."""
+    config.addinivalue_line(
+        "markers", "slow: runs a whole example script; takes several seconds"
+    )
+
+
 @pytest.fixture
 def small_params() -> ArchitecturalParameters:
     """A small 4x4 architecture used by most physical-model and toolchain tests."""

@@ -689,7 +689,11 @@ class TestEngineThreading:
     FAST_SIM = {"warmup_cycles": 10, "measurement_cycles": 30, "drain_max_cycles": 150}
 
     def test_engine_excluded_from_spec_id(self):
-        base = small_spec(performance_mode="simulation", sim=self.FAST_SIM)
+        from repro.simulator.engine import DEFAULT_ENGINE
+
+        base = small_spec(
+            performance_mode="simulation", sim={**self.FAST_SIM, "engine": "reference"}
+        )
         soa = base.with_overrides(sim={**self.FAST_SIM, "engine": "soa"})
         # Engines are bit-identical, so the engine must not split the
         # identity (or the memoization cache key space).
@@ -698,6 +702,41 @@ class TestEngineThreading:
         # ... but the choice must reach the simulation configuration.
         assert base.build_simulation_config().engine == "reference"
         assert soa.build_simulation_config().engine == "soa"
+        # A spec that names no engine runs the fast kernel.
+        assert DEFAULT_ENGINE == "soa"
+        engineless = small_spec(performance_mode="simulation", sim=self.FAST_SIM)
+        assert engineless.build_simulation_config().engine == DEFAULT_ENGINE
+        assert engineless.spec_id == base.spec_id
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            # Windows long enough that the search probes several load
+            # points and finds a saturation throughput above its first probe.
+            {"sim": {"warmup_cycles": 50, "measurement_cycles": 150,
+                     "drain_max_cycles": 300}},
+            {"workload": {"name": "dnn_inference", "seed": 7},
+             "sim": {"drain_max_cycles": 2000}},
+        ],
+        ids=["saturation_search", "dnn_inference_replay"],
+    )
+    def test_default_engine_reproduces_reference(self, fields):
+        # Each spec runs on its own, with no store, so neither side can be
+        # served from the other's memoized payload.
+        from repro.experiments.serialization import prediction_to_dict
+
+        default = ExperimentSpec(
+            topology="mesh", rows=4, cols=4, arch={"endpoint_area_ge": 5e6},
+            performance_mode="simulation", **fields,
+        )
+        reference = default.with_overrides(
+            sim={**fields["sim"], "engine": "reference"}
+        )
+        assert default.build_simulation_config().engine == "soa"
+        assert default.spec_id == reference.spec_id
+        assert json.dumps(prediction_to_dict(default.run()), sort_keys=True) == (
+            json.dumps(prediction_to_dict(reference.run()), sort_keys=True)
+        )
 
     def test_audit_interval_excluded_from_spec_id(self):
         base = small_spec(performance_mode="simulation", sim=self.FAST_SIM)
@@ -733,7 +772,7 @@ class TestEngineThreading:
 
         reference = ExperimentSpec(
             topology="mesh", rows=3, cols=3,
-            performance_mode="simulation", sim=self.FAST_SIM,
+            performance_mode="simulation", sim={**self.FAST_SIM, "engine": "reference"},
         )
         soa = reference.with_overrides(sim={**self.FAST_SIM, "engine": "soa"})
         runner = ExperimentRunner(store=tmp_path / "results.sqlite")
@@ -824,7 +863,7 @@ class TestEngineCli:
             "--sim", '{"warmup_cycles": 10, "measurement_cycles": 30, "drain_max_cycles": 150}',
             "--json",
         ]
-        assert cli_main(argv) == 0
+        assert cli_main(argv + ["--engine", "reference"]) == 0
         reference = json.loads(capsys.readouterr().out)
         assert cli_main(argv + ["--engine", "soa"]) == 0
         soa = json.loads(capsys.readouterr().out)
@@ -844,7 +883,7 @@ class TestEngineCli:
             "--params", '{"collective": "alltoall"}',
             "--topology", "mesh", "--rows", "3", "--cols", "3", "--json",
         ]
-        assert cli_main(base) == 0
+        assert cli_main(base + ["--engine", "reference"]) == 0
         reference = json.loads(capsys.readouterr().out)
         assert cli_main(base + ["--engine", "soa"]) == 0
         soa = json.loads(capsys.readouterr().out)

@@ -452,6 +452,7 @@ class TestEngineInSearch:
         base = SearchSpec(
             rows=4, cols=4, space={"mesh": {}},
             objective={"metric": "zero_load_latency"},
+            sim={"engine": "reference"},
         )
         soa = base.with_overrides(sim={"engine": "soa"})
         # The search ids differ (different declarative spec) but the derived
