@@ -22,11 +22,13 @@ the power and link-latency estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from repro.physical.global_routing import ChannelSegment, GlobalRoutingResult
+import numpy as np
+
+from repro.physical.global_routing import GlobalRoutingResult
 from repro.physical.unit_cells import UnitCellGrid
-from repro.topologies.base import Link
-from repro.utils.geometry import Point
+from repro.topologies.base import Link, Topology
 
 
 @dataclass(frozen=True)
@@ -62,67 +64,101 @@ class DetailedRoute:
 
 @dataclass
 class DetailedRoutingResult:
-    """Detailed routing of all links of a topology."""
+    """Detailed routing of all links of a topology.
 
-    routes: dict[Link, DetailedRoute]
+    The per-link arrays are indexed like ``topology.links``; ``order`` is the
+    routing order of the global router, which :attr:`routes` follows.
+    ``segment_tracks`` gives the track of every row of the global routing's
+    ``segments`` array.
+    """
+
+    topology: Topology
+    order: np.ndarray
+    horizontal_mm: np.ndarray
+    vertical_mm: np.ndarray
+    horizontal_cells: np.ndarray
+    vertical_cells: np.ndarray
+    segments: np.ndarray
+    segment_tracks: np.ndarray
     collisions: int
     tracks_per_channel: dict[tuple[str, int], int] = field(default_factory=dict)
 
+    @cached_property
+    def routes(self) -> dict[Link, DetailedRoute]:
+        """One :class:`DetailedRoute` per link, in routing order."""
+        links = self.topology.links
+        tracks: dict[int, list[tuple[str, int, int]]] = {}
+        for (index, horizontal, channel, _, _), track in zip(
+            self.segments.tolist(), self.segment_tracks.tolist()
+        ):
+            tracks.setdefault(index, []).append(("H" if horizontal else "V", channel, track))
+        horizontal_mm, vertical_mm = self.horizontal_mm.tolist(), self.vertical_mm.tolist()
+        horizontal_cells = self.horizontal_cells.tolist()
+        vertical_cells = self.vertical_cells.tolist()
+        return {
+            links[index]: DetailedRoute(
+                link=links[index],
+                horizontal_mm=horizontal_mm[index],
+                vertical_mm=vertical_mm[index],
+                horizontal_cells=horizontal_cells[index],
+                vertical_cells=vertical_cells[index],
+                tracks=tuple(tracks.get(index, ())),
+            )
+            for index in self.order.tolist()
+        }
+
     def total_wire_length_mm(self) -> float:
         """Sum of physical wire lengths over all links."""
-        return sum(route.total_length_mm for route in self.routes.values())
+        return sum((self.horizontal_mm + self.vertical_mm)[self.order].tolist())
 
     def total_horizontal_cells(self) -> int:
         """``N^H_cell`` summed over all links."""
-        return sum(route.horizontal_cells for route in self.routes.values())
+        return int(self.horizontal_cells.sum())
 
     def total_vertical_cells(self) -> int:
         """``N^V_cell`` summed over all links."""
-        return sum(route.vertical_cells for route in self.routes.values())
+        return int(self.vertical_cells.sum())
 
 
-@dataclass
-class _TrackRequest:
-    """One link's occupation of one channel, as an interval along the channel."""
+def _left_edge_assign(
+    starts: np.ndarray, stops: np.ndarray, capacity: int | None
+) -> tuple[np.ndarray, int, int]:
+    """Assign tracks to the intervals of one channel with the left-edge algorithm.
 
-    link: Link
-    segment: ChannelSegment
-    start_mm: float
-    stop_mm: float
-
-
-def _left_edge_assign(requests: list[_TrackRequest], capacity: int | None) -> tuple[dict[tuple[Link, ChannelSegment], int], int, int]:
-    """Assign tracks with the left-edge algorithm.
-
-    Returns the track of every request, the number of tracks used, and the
-    number of collisions (requests that had to share an already-full track
-    because ``capacity`` capped the channel).
+    Returns the track of every interval (in input order), the number of
+    tracks used, and the number of collisions (intervals that had to share
+    an already-full track because ``capacity`` capped the channel).
     """
-    ordered = sorted(requests, key=lambda r: (r.start_mm, r.stop_mm))
+    # Stable sort by (start, stop): equal intervals keep their input order.
+    ordered = np.lexsort((stops, starts))
     track_ends: list[float] = []
-    assignment: dict[tuple[Link, ChannelSegment], int] = {}
+    tracks = np.empty(len(ordered), dtype=np.int64)
     collisions = 0
-    for request in ordered:
-        placed = False
+    for request, start, stop in zip(
+        ordered.tolist(), starts[ordered].tolist(), stops[ordered].tolist()
+    ):
         for track, end in enumerate(track_ends):
-            if end <= request.start_mm + 1e-12:
-                track_ends[track] = request.stop_mm
-                assignment[(request.link, request.segment)] = track
-                placed = True
+            if end <= start + 1e-12:
+                track_ends[track] = stop
                 break
-        if placed:
-            continue
-        if capacity is None or len(track_ends) < capacity:
-            track_ends.append(request.stop_mm)
-            assignment[(request.link, request.segment)] = len(track_ends) - 1
         else:
-            # Channel is full: overflow onto the least-loaded track and record
-            # the collision (two links sharing unit cells).
-            track = min(range(len(track_ends)), key=lambda t: track_ends[t])
-            track_ends[track] = max(track_ends[track], request.stop_mm)
-            assignment[(request.link, request.segment)] = track
-            collisions += 1
-    return assignment, len(track_ends), collisions
+            if capacity is None or len(track_ends) < capacity:
+                track_ends.append(stop)
+                track = len(track_ends) - 1
+            else:
+                # Channel is full: overflow onto the least-loaded track and
+                # record the collision (two links sharing unit cells).
+                track = min(range(len(track_ends)), key=track_ends.__getitem__)
+                track_ends[track] = max(track_ends[track], stop)
+                collisions += 1
+        tracks[request] = track
+    return tracks, len(track_ends), collisions
+
+
+def _cells(length_mm: np.ndarray, cell_mm: float) -> np.ndarray:
+    """Unit cells a wire of each length crosses: 0 for none, else at least 1."""
+    cells = np.maximum(1, np.rint(length_mm / cell_mm)).astype(np.int64)
+    return np.where(length_mm <= 0, 0, cells)
 
 
 def detailed_route(
@@ -143,117 +179,75 @@ def detailed_route(
         constrained channels; by default every channel is as wide as its peak
         global-routing load and no collisions occur.
     """
-    topology = grid.floorplan.topology
+    port_x, port_y = grid.port_positions
+    segments = routing.segments
+    link, horizontal, channel = segments[:, 0], segments[:, 1].astype(bool), segments[:, 2]
 
-    # Gather per-channel track requests from the global routes.
-    per_channel: dict[tuple[str, int], list[_TrackRequest]] = {}
-    for link, groute in routing.routes.items():
-        if groute.is_direct:
-            continue
-        src_port = grid.port_position(link.src, link)
-        dst_port = grid.port_position(link.dst, link)
-        for segment in groute.segments:
-            if segment.orientation == "H":
-                start = min(src_port.x, dst_port.x)
-                stop = max(src_port.x, dst_port.x)
-            else:
-                start = min(src_port.y, dst_port.y)
-                stop = max(src_port.y, dst_port.y)
-            per_channel.setdefault((segment.orientation, segment.channel), []).append(
-                _TrackRequest(link=link, segment=segment, start_mm=start, stop_mm=stop)
-            )
+    # The interval every segment occupies along its channel, between the
+    # link's two ports.
+    along = np.where(horizontal[:, None], port_x[link], port_y[link])
+    starts, stops = along.min(axis=1), along.max(axis=1)
 
-    # Left-edge track assignment per channel.
-    track_of: dict[tuple[Link, ChannelSegment], int] = {}
+    # Left-edge track assignment per channel, channels in order of first use.
+    keys = 2 * channel + ~horizontal
+    _, first_use, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    tracks = np.empty(len(segments), dtype=np.int64)
     tracks_per_channel: dict[tuple[str, int], int] = {}
     total_collisions = 0
-    for channel_key, requests in per_channel.items():
+    for key in np.argsort(first_use).tolist():
+        members = np.flatnonzero(inverse == key)
+        channel_key = ("H" if horizontal[members[0]] else "V", int(channel[members[0]]))
         capacity = capacity_override.get(channel_key) if capacity_override else None
-        assignment, used, collisions = _left_edge_assign(requests, capacity)
-        track_of.update(assignment)
+        tracks[members], used, collisions = _left_edge_assign(
+            starts[members], stops[members], capacity
+        )
         tracks_per_channel[channel_key] = used
         total_collisions += collisions
 
-    # Derive physical wire lengths per link.
-    routes: dict[Link, DetailedRoute] = {}
-    for link, groute in routing.routes.items():
-        src_port = grid.port_position(link.src, link)
-        dst_port = grid.port_position(link.dst, link)
-        if groute.is_direct:
-            horizontal = abs(dst_port.x - src_port.x)
-            vertical = abs(dst_port.y - src_port.y)
-            tracks: tuple[tuple[str, int, int], ...] = ()
-        else:
-            horizontal, vertical, tracks = _measure_channel_path(
-                grid, src_port, dst_port, groute.segments, track_of, link
-            )
-        routes[link] = DetailedRoute(
-            link=link,
-            horizontal_mm=horizontal,
-            vertical_mm=vertical,
-            horizontal_cells=_cells(horizontal, grid.cell_width_mm),
-            vertical_cells=_cells(vertical, grid.cell_height_mm),
-            tracks=tracks,
-        )
-    del topology
+    # Track centerlines: every track is one unit cell wide.
+    topology = routing.topology
+    channel_y = [grid.horizontal_channel_y(c) for c in range(topology.rows + 1)]
+    channel_x = [grid.vertical_channel_x(c) for c in range(topology.cols + 1)]
+    edge = np.array(channel_y + channel_x)[np.where(horizontal, 0, len(channel_y)) + channel]
+    track_position = edge + (tracks + 0.5) * np.where(
+        horizontal, grid.cell_height_mm, grid.cell_width_mm
+    )
+
+    # Wire lengths.  A direct link runs straight between its facing ports.
+    # A channel-routed wire starts at the source port, jogs onto the track of
+    # its first segment, runs along it to the destination's coordinate,
+    # transfers to the next segment's track (L-shaped routes), and finally
+    # jogs into the destination port.  Horizontal running length and vertical
+    # jog length are accumulated separately because they use different metal
+    # layers (and different unit cell dimensions).
+    src_x, dst_x = port_x[:, 0], port_x[:, 1]
+    src_y, dst_y = port_y[:, 0], port_y[:, 1]
+    routed = np.zeros(topology.num_links, dtype=bool)
+    routed[link] = True
+    horizontal_mm = np.where(routed, 0.0, np.abs(dst_x - src_x))
+    vertical_mm = np.where(routed, 0.0, np.abs(dst_y - src_y))
+    x, y = src_x.copy(), src_y.copy()
+    # Every link has one or two segments (straight or L-shaped), grouped by
+    # link: first all first segments advance, then all second ones.
+    first = np.r_[True, link[1:] != link[:-1]][: len(link)]
+    for step in (first, ~first):
+        at, on_h, track_at = link[step], horizontal[step], track_position[step]
+        horizontal_mm[at] += np.where(on_h, np.abs(dst_x[at] - x[at]), np.abs(x[at] - track_at))
+        vertical_mm[at] += np.where(on_h, np.abs(y[at] - track_at), np.abs(dst_y[at] - y[at]))
+        x[at] = np.where(on_h, dst_x[at], track_at)
+        y[at] = np.where(on_h, track_at, dst_y[at])
+    horizontal_mm[routed] += np.abs(dst_x - x)[routed]
+    vertical_mm[routed] += np.abs(dst_y - y)[routed]
+
     return DetailedRoutingResult(
-        routes=routes,
+        topology=topology,
+        order=routing.order,
+        horizontal_mm=horizontal_mm,
+        vertical_mm=vertical_mm,
+        horizontal_cells=_cells(horizontal_mm, grid.cell_width_mm),
+        vertical_cells=_cells(vertical_mm, grid.cell_height_mm),
+        segments=segments,
+        segment_tracks=tracks,
         collisions=total_collisions,
         tracks_per_channel=tracks_per_channel,
     )
-
-
-def _cells(length_mm: float, cell_mm: float) -> int:
-    if length_mm <= 0:
-        return 0
-    return max(1, int(round(length_mm / cell_mm)))
-
-
-def _measure_channel_path(
-    grid: UnitCellGrid,
-    src_port: Point,
-    dst_port: Point,
-    segments: tuple[ChannelSegment, ...],
-    track_of: dict[tuple[Link, ChannelSegment], int],
-    link: Link,
-) -> tuple[float, float, tuple[tuple[str, int, int], ...]]:
-    """Measure the wire length of a channel-routed link.
-
-    The wire starts at the source port, jogs onto the track of its first
-    channel segment, runs along that track, transfers to the next segment's
-    track (for L-shaped routes), and finally jogs into the destination port.
-    Horizontal running length and vertical jog length are accumulated
-    separately because they use different metal layers (and different unit
-    cell dimensions).
-    """
-    horizontal = 0.0
-    vertical = 0.0
-    tracks: list[tuple[str, int, int]] = []
-
-    current = src_port
-    # Position reached after the final segment should be the destination port.
-    for index, segment in enumerate(segments):
-        track = track_of[(link, segment)]
-        tracks.append((segment.orientation, segment.channel, track))
-        is_last = index == len(segments) - 1
-        if segment.orientation == "H":
-            track_y = grid.horizontal_track_y(segment.channel, track)
-            # Jog from the current position onto the track.
-            vertical += abs(current.y - track_y)
-            # Run along the track towards the destination's x position (or the
-            # next segment's channel, which is handled by the next iteration's
-            # jog because the next segment is vertical).
-            target_x = dst_port.x
-            horizontal += abs(target_x - current.x)
-            current = Point(target_x, track_y)
-        else:
-            track_x = grid.vertical_track_x(segment.channel, track)
-            horizontal += abs(current.x - track_x)
-            target_y = dst_port.y
-            vertical += abs(target_y - current.y)
-            current = Point(track_x, target_y)
-        if is_last:
-            # Final jog into the destination port.
-            horizontal += abs(dst_port.x - current.x)
-            vertical += abs(dst_port.y - current.y)
-    return horizontal, vertical, tuple(tracks)

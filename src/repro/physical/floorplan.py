@@ -16,6 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+
+import numpy as np
 
 from repro.physical.tile import TileGeometry
 from repro.topologies.base import Link, Topology
@@ -51,20 +54,46 @@ class PortAssignment:
 class Floorplan:
     """Tile placement plus port assignment for one topology.
 
+    Ports are stored as arrays indexed like the topology's link arrays:
+    entry ``[i, 0]`` is the port of link ``topology.links[i]`` on its ``src``
+    tile and ``[i, 1]`` the one on its ``dst`` tile.
+
     Attributes
     ----------
     topology:
         The topology being floorplanned.
     tile_geometry:
         Physical tile dimensions (step 1 output).
-    ports:
-        Mapping ``(tile, link) -> PortAssignment`` for both endpoints of every
-        link.
+    port_sides:
+        ``(L, 2)`` array of face codes, indices into :data:`PORT_SIDES`.
+    port_offsets:
+        ``(L, 2)`` array of port positions along their face, in (0, 1).
     """
 
     topology: Topology
     tile_geometry: TileGeometry
-    ports: dict[tuple[int, Link], PortAssignment]
+    port_sides: np.ndarray
+    port_offsets: np.ndarray
+
+    @cached_property
+    def ports(self) -> dict[tuple[int, Link], PortAssignment]:
+        """Mapping ``(tile, link) -> PortAssignment`` for both ends of every link."""
+        ports: dict[tuple[int, Link], PortAssignment] = {}
+        sides = self.port_sides.tolist()
+        offsets = self.port_offsets.tolist()
+        for index, link in enumerate(self.topology.links):
+            for end, tile in enumerate((link.src, link.dst)):
+                ports[(tile, link)] = PortAssignment(
+                    tile, link, PORT_SIDES[sides[index][end]], offsets[index][end]
+                )
+        return ports
+
+    def port_slot(self, tile: int, link: Link) -> tuple[int, int]:
+        """``(link index, end)`` of the port of ``link`` on ``tile`` in the port arrays."""
+        index = self.topology.link_index.get(link)
+        if index is None or tile not in (link.src, link.dst):
+            raise ValidationError(f"link {link} has no port on tile {tile}")
+        return index, int(tile == link.dst)
 
     def port(self, tile: int, link: Link) -> PortAssignment:
         """Return the port assignment of ``link`` at ``tile``."""
@@ -84,11 +113,24 @@ class Floorplan:
 
     def max_ports_per_side(self) -> int:
         """Maximum number of ports any tile places on a single face."""
-        counts: dict[tuple[int, PortSide], int] = {}
-        for (tile, _), assignment in self.ports.items():
-            key = (tile, assignment.side)
-            counts[key] = counts.get(key, 0) + 1
-        return max(counts.values()) if counts else 0
+        faces = self.topology.link_ends * len(PORT_SIDES) + self.port_sides
+        return int(np.unique(faces, return_counts=True)[1].max(initial=0))
+
+
+#: Faces in the order of their codes in :attr:`Floorplan.port_sides`.
+PORT_SIDES = tuple(PortSide)
+#: Code of every face in :attr:`Floorplan.port_sides`.
+SIDE_CODE = {side: code for code, side in enumerate(PORT_SIDES)}
+
+
+def _side_codes(d_row, d_col):
+    """Face code of ports whose link runs ``(d_row, d_col)`` tiles away (arrays or ints)."""
+    horizontal = (d_row == 0) | ((d_col != 0) & (np.abs(d_col) >= np.abs(d_row)))
+    return np.where(
+        horizontal,
+        np.where(d_col > 0, SIDE_CODE[PortSide.EAST], SIDE_CODE[PortSide.WEST]),
+        np.where(d_row > 0, SIDE_CODE[PortSide.SOUTH], SIDE_CODE[PortSide.NORTH]),
+    )
 
 
 def preferred_port_side(topology: Topology, tile: int, link: Link) -> PortSide:
@@ -102,11 +144,7 @@ def preferred_port_side(topology: Topology, tile: int, link: Link) -> PortSide:
     """
     source = topology.coord(tile)
     target = topology.coord(link.other(tile))
-    d_col = target.col - source.col
-    d_row = target.row - source.row
-    if d_row == 0 or (d_col != 0 and abs(d_col) >= abs(d_row)):
-        return PortSide.EAST if d_col > 0 else PortSide.WEST
-    return PortSide.SOUTH if d_row > 0 else PortSide.NORTH
+    return PORT_SIDES[int(_side_codes(target.row - source.row, target.col - source.col))]
 
 
 def build_floorplan(topology: Topology, tile_geometry: TileGeometry) -> Floorplan:
@@ -116,26 +154,24 @@ def build_floorplan(topology: Topology, tile_geometry: TileGeometry) -> Floorpla
     distance to the link's other endpoint (longer links towards the outer end
     of the face), which keeps short links short after detailed routing.
     """
-    # First pass: decide the side of every port.
-    side_of: dict[tuple[int, Link], PortSide] = {}
-    per_side: dict[tuple[int, PortSide], list[Link]] = {}
-    for link in topology.links:
-        for tile in (link.src, link.dst):
-            side = preferred_port_side(topology, tile, link)
-            side_of[(tile, link)] = side
-            per_side.setdefault((tile, side), []).append(link)
+    ends = topology.link_ends
+    d_row = np.diff(topology.tile_rows[ends], axis=1)
+    d_col = np.diff(topology.tile_cols[ends], axis=1)
+    # Side of every port: column 0 is the src end, column 1 the dst end.
+    sides = np.hstack([_side_codes(d_row, d_col), _side_codes(-d_row, -d_col)])
 
-    # Second pass: spread the ports of each face evenly along the face.
-    ports: dict[tuple[int, Link], PortAssignment] = {}
-    for (tile, side), links_on_side in per_side.items():
-        ordered = sorted(
-            links_on_side,
-            key=lambda l: (topology.link_grid_length(l), l.src, l.dst),
-        )
-        count = len(ordered)
-        for index, link in enumerate(ordered):
-            offset = (index + 1) / (count + 1)
-            ports[(tile, link)] = PortAssignment(
-                tile=tile, link=link, side=side, offset_fraction=offset
-            )
-    return Floorplan(topology=topology, tile_geometry=tile_geometry, ports=ports)
+    # Rank every port within its face by (length, src, dst).  Links are in
+    # canonical (src, dst) order, so the link index breaks length ties.
+    faces = (ends * len(PORT_SIDES) + sides).ravel()
+    link_index = np.repeat(np.arange(topology.num_links), 2)
+    order = np.lexsort((link_index, topology.link_lengths[link_index], faces))
+    _, first, count = np.unique(faces[order], return_index=True, return_counts=True)
+    rank = np.arange(len(order)) - np.repeat(first, count)
+    offsets = np.empty(len(order))
+    offsets[order] = (rank + 1) / (np.repeat(count, count) + 1)
+    return Floorplan(
+        topology=topology,
+        tile_geometry=tile_geometry,
+        port_sides=sides,
+        port_offsets=offsets.reshape(-1, 2),
+    )

@@ -33,7 +33,8 @@ Channel-load accounting
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,8 +83,16 @@ class GlobalRoutingResult:
 
     Attributes
     ----------
-    routes:
-        One :class:`GlobalRoute` per link.
+    topology:
+        The routed topology; link indices refer to ``topology.links``.
+    order:
+        Link indices in routing order (shortest first).
+    segments:
+        ``(S, 5)`` integer array with one row ``(link, horizontal, channel,
+        start, stop)`` per occupied channel segment; ``horizontal`` is 1 for
+        an H channel and 0 for a V channel.  Rows are grouped by link in
+        routing order, one row for a straight route and two for an L; a link
+        without rows is a direct connection between adjacent tiles.
     horizontal_loads:
         Array of shape ``(R+1, C)``: ``horizontal_loads[h, c]`` is the number
         of links occupying horizontal channel ``h`` above tile column ``c``.
@@ -91,11 +100,39 @@ class GlobalRoutingResult:
         Array of shape ``(C+1, R)`` defined symmetrically.
     """
 
-    routes: dict[Link, GlobalRoute]
+    topology: Topology
+    order: np.ndarray
+    segments: np.ndarray
     horizontal_loads: np.ndarray
     vertical_loads: np.ndarray
-    rows: int = 0
-    cols: int = 0
+
+    @property
+    def rows(self) -> int:
+        """Number of tile rows ``R``."""
+        return self.topology.rows
+
+    @property
+    def cols(self) -> int:
+        """Number of tile columns ``C``."""
+        return self.topology.cols
+
+    @cached_property
+    def routes(self) -> dict[Link, GlobalRoute]:
+        """One :class:`GlobalRoute` per link, in routing order."""
+        links = self.topology.links
+        per_link: dict[int, list[ChannelSegment]] = {}
+        for index, horizontal, channel, start, stop in self.segments.tolist():
+            per_link.setdefault(index, []).append(
+                ChannelSegment("H" if horizontal else "V", channel, start, stop)
+            )
+        return {
+            links[index]: GlobalRoute(
+                link=links[index],
+                segments=tuple(per_link.get(index, ())),
+                is_direct=index not in per_link,
+            )
+            for index in self.order.tolist()
+        }
 
     def max_horizontal_load(self, channel: int) -> int:
         """Peak number of parallel links in horizontal channel ``channel``."""
@@ -107,57 +144,11 @@ class GlobalRoutingResult:
 
     def total_channel_length(self) -> int:
         """Sum of channel segment lengths over all links (in tile pitches)."""
-        return sum(route.grid_length for route in self.routes.values())
+        return int((self.segments[:, 4] - self.segments[:, 3]).sum())
 
 
-@dataclass
-class _ChannelState:
-    """Mutable channel occupancy used during greedy routing."""
-
-    horizontal: np.ndarray
-    vertical: np.ndarray
-    routes: dict[Link, GlobalRoute] = field(default_factory=dict)
-
-    def cost(self, segments: tuple[ChannelSegment, ...]) -> float:
-        total = 0.0
-        for segment in segments:
-            loads = (
-                self.horizontal[segment.channel, segment.start : segment.stop]
-                if segment.orientation == "H"
-                else self.vertical[segment.channel, segment.start : segment.stop]
-            )
-            # Length cost plus a congestion cost that grows with the current
-            # occupancy, so the router spreads links over parallel channels.
-            total += segment.length + float(loads.sum()) * 0.5
-        return total
-
-    def commit(self, route: GlobalRoute) -> None:
-        for segment in route.segments:
-            if segment.orientation == "H":
-                self.horizontal[segment.channel, segment.start : segment.stop] += 1
-            else:
-                self.vertical[segment.channel, segment.start : segment.stop] += 1
-        self.routes[route.link] = route
-
-
-def _row_link_candidates(rows: int, row: int, c_low: int, c_high: int) -> list[tuple[ChannelSegment, ...]]:
-    """Candidate channel assignments for an aligned row link spanning >= 2 columns."""
-    candidates = []
-    for channel in (row, row + 1):
-        candidates.append(
-            (ChannelSegment("H", channel, c_low, c_high + 1),)
-        )
-    return candidates
-
-
-def _col_link_candidates(cols: int, col: int, r_low: int, r_high: int) -> list[tuple[ChannelSegment, ...]]:
-    """Candidate channel assignments for an aligned column link spanning >= 2 rows."""
-    candidates = []
-    for channel in (col, col + 1):
-        candidates.append(
-            (ChannelSegment("V", channel, r_low, r_high + 1),)
-        )
-    return candidates
+# A candidate route is a tuple of segments ``(horizontal, channel, start, stop)``.
+_Segment = tuple[bool, int, int, int]
 
 
 def _l_shape_candidates(
@@ -165,30 +156,24 @@ def _l_shape_candidates(
     source_col: int,
     target_row: int,
     target_col: int,
-) -> list[tuple[ChannelSegment, ...]]:
+) -> list[tuple[_Segment, ...]]:
     """Candidate L-shaped routes for a non-aligned link."""
     c_low, c_high = sorted((source_col, target_col))
     r_low, r_high = sorted((source_row, target_row))
-    candidates: list[tuple[ChannelSegment, ...]] = []
+    candidates: list[tuple[_Segment, ...]] = []
     # Row-first: horizontal leg in a channel adjacent to the source row, then a
     # vertical leg in a channel adjacent to the target column.
     for h_channel in (source_row, source_row + 1):
         for v_channel in (target_col, target_col + 1):
             candidates.append(
-                (
-                    ChannelSegment("H", h_channel, c_low, c_high + 1),
-                    ChannelSegment("V", v_channel, r_low, r_high + 1),
-                )
+                ((True, h_channel, c_low, c_high + 1), (False, v_channel, r_low, r_high + 1))
             )
     # Column-first: vertical leg near the source column, horizontal leg near
     # the target row.
     for v_channel in (source_col, source_col + 1):
         for h_channel in (target_row, target_row + 1):
             candidates.append(
-                (
-                    ChannelSegment("V", v_channel, r_low, r_high + 1),
-                    ChannelSegment("H", h_channel, c_low, c_high + 1),
-                )
+                ((False, v_channel, r_low, r_high + 1), (True, h_channel, c_low, c_high + 1))
             )
     return candidates
 
@@ -202,38 +187,51 @@ def global_route(topology: Topology, floorplan: Floorplan | None = None) -> Glob
     """
     del floorplan  # Port sides are implied by the candidate generation below.
     rows, cols = topology.rows, topology.cols
-    state = _ChannelState(
-        horizontal=np.zeros((rows + 1, cols), dtype=np.int64),
-        vertical=np.zeros((cols + 1, rows), dtype=np.int64),
-    )
+    # Channel occupancy as nested lists: the greedy loop below reads and
+    # updates a few short slices per link, which plain lists do fastest.
+    loads = {
+        True: [[0] * cols for _ in range(rows + 1)],
+        False: [[0] * rows for _ in range(cols + 1)],
+    }
 
+    def cost(candidate: tuple[_Segment, ...]) -> float:
+        total = 0.0
+        for horizontal, channel, start, stop in candidate:
+            # Length cost plus a congestion cost that grows with the current
+            # occupancy, so the router spreads links over parallel channels.
+            total += (stop - start) + float(sum(loads[horizontal][channel][start:stop])) * 0.5
+        return total
+
+    tile_rows, tile_cols = topology.tile_rows.tolist(), topology.tile_cols.tolist()
+    src, dst = topology.link_ends.T.tolist()
+    lengths = topology.link_lengths
     # Route short links first: they have no routing freedom and should not be
-    # penalised by congestion created by long links.
-    ordered_links = sorted(
-        topology.links, key=lambda link: (topology.link_grid_length(link), link.src, link.dst)
-    )
-    for link in ordered_links:
-        a = topology.coord(link.src)
-        b = topology.coord(link.dst)
-        if topology.link_grid_length(link) == 1:
-            # Adjacent tiles: direct port-to-port connection, no channel usage.
-            state.routes[link] = GlobalRoute(link=link, segments=(), is_direct=True)
-            continue
-        if a.row == b.row:
-            c_low, c_high = sorted((a.col, b.col))
-            candidates = _row_link_candidates(rows, a.row, c_low, c_high)
-        elif a.col == b.col:
-            r_low, r_high = sorted((a.row, b.row))
-            candidates = _col_link_candidates(cols, a.col, r_low, r_high)
+    # penalised by congestion created by long links.  Ties keep the canonical
+    # (src, dst) link order.
+    order = np.argsort(lengths, kind="stable")
+    segments: list[tuple[int, ...]] = []
+    for index in order[lengths[order] > 1].tolist():
+        # Adjacent tiles (length 1) connect directly and use no channel.
+        a_row, a_col = tile_rows[src[index]], tile_cols[src[index]]
+        b_row, b_col = tile_rows[dst[index]], tile_cols[dst[index]]
+        if a_row == b_row:
+            c_low, c_high = sorted((a_col, b_col))
+            candidates = [((True, channel, c_low, c_high + 1),) for channel in (a_row, a_row + 1)]
+        elif a_col == b_col:
+            r_low, r_high = sorted((a_row, b_row))
+            candidates = [((False, channel, r_low, r_high + 1),) for channel in (a_col, a_col + 1)]
         else:
-            candidates = _l_shape_candidates(a.row, a.col, b.row, b.col)
-        best = min(candidates, key=state.cost)
-        state.commit(GlobalRoute(link=link, segments=tuple(best), is_direct=False))
+            candidates = _l_shape_candidates(a_row, a_col, b_row, b_col)
+        best = min(candidates, key=cost)
+        for horizontal, channel, start, stop in best:
+            row = loads[horizontal][channel]
+            row[start:stop] = [load + 1 for load in row[start:stop]]
+            segments.append((index, horizontal, channel, start, stop))
 
     return GlobalRoutingResult(
-        routes=state.routes,
-        horizontal_loads=state.horizontal,
-        vertical_loads=state.vertical,
-        rows=rows,
-        cols=cols,
+        topology=topology,
+        order=order,
+        segments=np.array(segments, dtype=np.int64).reshape(-1, 5),
+        horizontal_loads=np.array(loads[True], dtype=np.int64).reshape(rows + 1, cols),
+        vertical_loads=np.array(loads[False], dtype=np.int64).reshape(cols + 1, rows),
     )

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.physical.floorplan import Floorplan, PortSide
+from repro.physical.floorplan import SIDE_CODE, Floorplan, PortSide
 from repro.physical.global_routing import GlobalRoutingResult
 from repro.physical.parameters import ArchitecturalParameters
 from repro.topologies.base import Link
@@ -116,28 +117,39 @@ class UnitCellGrid:
         origin = self.tile_origin(0, channel - 1)
         return origin.x + self.floorplan.tile_geometry.width_mm
 
-    def horizontal_track_y(self, channel: int, track: int) -> float:
-        """Centerline ``y`` of the given track within a horizontal channel."""
-        return self.horizontal_channel_y(channel) + (track + 0.5) * self.cell_height_mm
+    @cached_property
+    def port_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(x, y)`` of every port, each an ``(L, 2)`` array.
 
-    def vertical_track_x(self, channel: int, track: int) -> float:
-        """Centerline ``x`` of the given track within a vertical channel."""
-        return self.vertical_channel_x(channel) + (track + 0.5) * self.cell_width_mm
+        Entry ``[i, end]`` belongs to the port of ``topology.links[i]`` on its
+        ``src`` (``end == 0``) or ``dst`` (``end == 1``) tile, as in the
+        floorplan's port arrays.
+        """
+        floorplan = self.floorplan
+        topology = floorplan.topology
+        geometry = floorplan.tile_geometry
+        ends = topology.link_ends
+        origins = self.tile_origins[topology.tile_rows[ends], topology.tile_cols[ends]]
+        x, y = origins[..., 0], origins[..., 1]
+        sides = floorplan.port_sides
+        along = floorplan.port_offsets
+        port_x = np.select(
+            [sides == SIDE_CODE[PortSide.EAST], sides == SIDE_CODE[PortSide.WEST]],
+            [x + geometry.width_mm, x],
+            x + along * geometry.width_mm,
+        )
+        port_y = np.select(
+            [sides == SIDE_CODE[PortSide.NORTH], sides == SIDE_CODE[PortSide.SOUTH]],
+            [y, y + geometry.height_mm],
+            y + along * geometry.height_mm,
+        )
+        return port_x, port_y
 
     def port_position(self, tile: int, link: Link) -> Point:
         """Physical position of the port of ``link`` on ``tile``."""
-        topology = self.floorplan.topology
-        geometry = self.floorplan.tile_geometry
-        coord = topology.coord(tile)
-        origin = self.tile_origin(coord.row, coord.col)
-        assignment = self.floorplan.port(tile, link)
-        if assignment.side is PortSide.EAST:
-            return Point(origin.x + geometry.width_mm, origin.y + assignment.offset_fraction * geometry.height_mm)
-        if assignment.side is PortSide.WEST:
-            return Point(origin.x, origin.y + assignment.offset_fraction * geometry.height_mm)
-        if assignment.side is PortSide.NORTH:
-            return Point(origin.x + assignment.offset_fraction * geometry.width_mm, origin.y)
-        return Point(origin.x + assignment.offset_fraction * geometry.width_mm, origin.y + geometry.height_mm)
+        index, end = self.floorplan.port_slot(tile, link)
+        port_x, port_y = self.port_positions
+        return Point(float(port_x[index, end]), float(port_y[index, end]))
 
 
 def discretize_chip(

@@ -136,8 +136,8 @@ def _minimal_tables(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
     """
     num = topology.num_tiles
     neighbors = _neighbor_array(topology)
-    rows = np.array([topology.coord(node).row for node in range(num)] + [0])
-    cols = np.array([topology.coord(node).col for node in range(num)] + [0])
+    rows = np.append(topology.tile_rows, 0)
+    cols = np.append(topology.tile_cols, 0)
     length = np.abs(rows[:, None] - rows[neighbors]) + np.abs(cols[:, None] - cols[neighbors])
 
     # dist[node, destination]: -1 while unreached; the dummy row is -2 so it

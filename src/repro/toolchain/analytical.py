@@ -131,12 +131,18 @@ def pair_weights_from_trace(trace: "WorkloadTrace") -> dict[tuple[int, int], flo
     latency is averaged over the pairs the application really exercises, and
     the channel-load bound reflects the links its traffic concentrates on.
     """
-    weights: dict[tuple[int, int], float] = {}
-    total = float(trace.total_flits)
-    for source, destination, size in zip(trace.sources, trace.destinations, trace.sizes):
-        key = (int(source), int(destination))
-        weights[key] = weights.get(key, 0.0) + float(size) / total
-    return weights
+    num = trace.num_tiles
+    unique, first, inverse = np.unique(
+        trace.sources * num + trace.destinations, return_index=True, return_inverse=True
+    )
+    # Number the pairs in order of first occurrence, then add every record's
+    # share onto its pair in record order (np.add.at is unbuffered and
+    # sequential), which is the summation order of a per-record loop.
+    by_first = np.argsort(first)
+    weights = np.zeros(len(unique))
+    np.add.at(weights, np.argsort(by_first)[inverse], trace.sizes / float(trace.total_flits))
+    pairs = unique[by_first].tolist()
+    return {(pair // num, pair % num): weight for pair, weight in zip(pairs, weights.tolist())}
 
 
 def _next_hop_matrix(table: NodeTable) -> np.ndarray:

@@ -66,7 +66,7 @@ class ScreeningEstimate:
 
 def max_link_length(topology: Topology) -> int:
     """Longest link of ``topology`` in tile pitches (Manhattan distance)."""
-    return max(topology.link_grid_length(link) for link in topology.links)
+    return int(topology.link_lengths.max())
 
 
 def screen_topology(

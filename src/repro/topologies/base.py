@@ -18,6 +18,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 import networkx as nx
+import numpy as np
 
 from repro.utils.validation import ValidationError, check_type
 
@@ -110,13 +111,16 @@ class Topology:
         canonical_links: set[Link] = set()
         for item in links:
             if isinstance(item, Link):
-                link = item
+                canonical_links.add(item)
             else:
                 a, b = item
-                link = Link.canonical(int(a), int(b))
-            self._check_tile_index(link.src)
-            self._check_tile_index(link.dst)
-            canonical_links.add(link)
+                canonical_links.add(Link.canonical(int(a), int(b)))
+        # All endpoints are checked in one pass; the per-endpoint check only
+        # runs to report the first bad one.
+        ends = [end for link in canonical_links for end in (link.src, link.dst)]
+        if set(map(type, ends)) != {int} or min(ends) < 0 or max(ends) >= self.num_tiles:
+            for end in ends:
+                self._check_tile_index(end)
         self._links: tuple[Link, ...] = tuple(sorted(canonical_links))
 
     # ------------------------------------------------------------------ basic
@@ -169,6 +173,34 @@ class Topology:
         self._check_tile_index(tile)
         return TileCoord(tile // self._cols, tile % self._cols)
 
+    @cached_property
+    def tile_rows(self) -> np.ndarray:
+        """Row of every tile, indexed by tile (read-only array)."""
+        return _read_only(np.arange(self.num_tiles) // self._cols)
+
+    @cached_property
+    def tile_cols(self) -> np.ndarray:
+        """Column of every tile, indexed by tile (read-only array)."""
+        return _read_only(np.arange(self.num_tiles) % self._cols)
+
+    @cached_property
+    def link_ends(self) -> np.ndarray:
+        """``(L, 2)`` read-only array of every link's ``(src, dst)``, in :attr:`links` order."""
+        ends = np.array([(link.src, link.dst) for link in self._links], dtype=np.int64)
+        return _read_only(ends.reshape(-1, 2))
+
+    @cached_property
+    def link_lengths(self) -> np.ndarray:
+        """Manhattan length in tile pitches of every link, in :attr:`links` order."""
+        src, dst = self.link_ends.T
+        rows, cols = self.tile_rows, self.tile_cols
+        return _read_only(np.abs(rows[src] - rows[dst]) + np.abs(cols[src] - cols[dst]))
+
+    @cached_property
+    def link_index(self) -> dict[Link, int]:
+        """Position of every link in :attr:`links` and in the link arrays."""
+        return {link: index for index, link in enumerate(self._links)}
+
     def tiles(self) -> Iterator[int]:
         """Iterate over all tile indices in row-major order."""
         return iter(range(self.num_tiles))
@@ -210,7 +242,7 @@ class Topology:
         self._check_tile_index(b)
         if a == b:
             return False
-        return Link.canonical(a, b) in set(self._links)
+        return Link.canonical(a, b) in self.link_index
 
     def is_connected(self) -> bool:
         """Return ``True`` if every tile can reach every other tile."""
@@ -293,6 +325,11 @@ class Topology:
 
     def __hash__(self) -> int:
         return hash((self._rows, self._cols, self._links, self._endpoints_per_tile))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def grid_dimensions_for(num_tiles: int) -> tuple[int, int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import networkx as nx
+import numpy as np
 
 from repro.topologies.base import Topology
 
@@ -111,18 +112,11 @@ def bisection_link_count(topology: Topology) -> int:
     single column the horizontal bisection is used instead.
     """
     if topology.cols >= 2:
-        cut = topology.cols // 2
-        return sum(
-            1
-            for link in topology.links
-            if (topology.coord(link.src).col < cut) != (topology.coord(link.dst).col < cut)
-        )
-    cut = topology.rows // 2
-    return sum(
-        1
-        for link in topology.links
-        if (topology.coord(link.src).row < cut) != (topology.coord(link.dst).row < cut)
-    )
+        side = topology.tile_cols < topology.cols // 2
+    else:
+        side = topology.tile_rows < topology.rows // 2
+    crossing = side[topology.link_ends]
+    return int(np.count_nonzero(crossing[:, 0] != crossing[:, 1]))
 
 
 def physical_link_length_graph(topology: Topology) -> nx.Graph:

@@ -49,6 +49,11 @@ class TestTopologyConstruction:
         with pytest.raises(ValidationError):
             Topology(2, 2, [(0, 4)], "bad")
 
+    @pytest.mark.parametrize("link", [Link(0, 4), Link(-1, 2), Link(True, 2), Link(0.0, 2)])
+    def test_rejects_bad_link_endpoint(self, link):
+        with pytest.raises(ValidationError):
+            Topology(2, 2, [(0, 1), link], "bad")
+
     def test_rejects_empty_grid(self):
         with pytest.raises(ValidationError):
             Topology(0, 3, [], "bad")
@@ -85,6 +90,45 @@ class TestTopologyIndexing:
             topo.tile_index(3, 0)
         with pytest.raises(ValidationError):
             topo.coord(12)
+
+    @pytest.mark.parametrize("tile", [-1, 12, True, 1.0])
+    def test_coord_validates_its_argument(self, topo, tile):
+        with pytest.raises(ValidationError):
+            topo.coord(tile)
+
+    def test_link_queries_validate_their_arguments(self, topo):
+        with pytest.raises(ValidationError):
+            topo.has_link(0, 12)
+        with pytest.raises(ValidationError):
+            topo.link_grid_length(Link(0, 12))
+
+
+class TestTopologyArrays:
+    @pytest.fixture
+    def topo(self) -> Topology:
+        return Topology(3, 4, [(0, 1), (0, 11), (5, 9), (2, 3), (1, 9)], "mixed")
+
+    def test_tile_arrays_match_coord(self, topo):
+        assert [TileCoord(int(r), int(c)) for r, c in zip(topo.tile_rows, topo.tile_cols)] == [
+            topo.coord(tile) for tile in topo.tiles()
+        ]
+
+    def test_link_arrays_follow_link_order(self, topo):
+        assert [tuple(ends) for ends in topo.link_ends.tolist()] == [
+            (link.src, link.dst) for link in topo.links
+        ]
+        assert topo.link_lengths.tolist() == [topo.link_grid_length(link) for link in topo.links]
+        assert [topo.link_index[link] for link in topo.links] == list(range(topo.num_links))
+
+    def test_arrays_are_read_only(self, topo):
+        for array in (topo.tile_rows, topo.tile_cols, topo.link_ends, topo.link_lengths):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_arrays_of_topology_without_links(self):
+        topo = Topology(1, 2, [], "empty")
+        assert topo.link_ends.shape == (0, 2)
+        assert topo.link_lengths.shape == (0,)
 
 
 class TestTopologyGraph:
