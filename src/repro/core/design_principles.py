@@ -21,6 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
+from repro.physical.floorplan import PORT_SIDES, port_side_codes
 from repro.topologies.base import Topology
 from repro.topologies.properties import TopologyProperties, analyze_topology
 
@@ -201,40 +204,32 @@ def _uniform_link_density_rating(topology: Topology) -> Compliance:
 def _port_placement_rating(topology: Topology) -> Compliance:
     """Rate whether ports can be spread evenly over the four tile faces.
 
-    For every tile we count the links leaving towards each of the four
-    directions (splitting non-aligned links into their dominant direction).
+    For every tile we count the links leaving through each of the four faces,
+    with the floorplan's port-side rule (a non-aligned link leaves in its
+    dominant direction).
     If some face of some tile has to host a disproportionate share of the
     tile's ports (more than 60% while other faces are idle), port placement
     cannot be optimised — the situation of the ring topology in Figure 1a.
     """
+    # Ports per (tile, face), each on the face the floorplan would put it.
+    faces = topology.link_ends * len(PORT_SIDES) + port_side_codes(topology)
+    per_face = np.bincount(faces.ravel(), minlength=topology.num_tiles * len(PORT_SIDES))
+    per_face = per_face.reshape(topology.num_tiles, len(PORT_SIDES)).tolist()
     worst_imbalance = 0.0
     for tile in topology.tiles():
-        coord = topology.coord(tile)
-        per_face = {"N": 0, "S": 0, "E": 0, "W": 0}
-        for neighbor in topology.neighbors(tile):
-            other = topology.coord(neighbor)
-            if other.row == coord.row:
-                per_face["E" if other.col > coord.col else "W"] += 1
-            elif other.col == coord.col:
-                per_face["S" if other.row > coord.row else "N"] += 1
-            else:
-                # Non-aligned link: attribute to the dominant direction.
-                if abs(other.col - coord.col) >= abs(other.row - coord.row):
-                    per_face["E" if other.col > coord.col else "W"] += 1
-                else:
-                    per_face["S" if other.row > coord.row else "N"] += 1
-        total = sum(per_face.values())
+        total = sum(per_face[tile])
         if total <= 1:
             continue
         # Imbalance: fraction of ports on the busiest face relative to an even spread
         # over the faces that could host them (interior tiles have 4 usable faces).
+        coord = topology.coord(tile)
         usable_faces = 4
         if coord.row in (0, topology.rows - 1):
             usable_faces -= 1
         if coord.col in (0, topology.cols - 1):
             usable_faces -= 1
         usable_faces = max(usable_faces, 1)
-        busiest = max(per_face.values()) / total
+        busiest = max(per_face[tile]) / total
         even = 1.0 / min(usable_faces, 4)
         worst_imbalance = max(worst_imbalance, busiest - even)
     if worst_imbalance <= 0.26:

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.physical.global_routing import GlobalRoutingResult
 from repro.physical.unit_cells import UnitCellGrid
-from repro.topologies.base import Link, Topology
+from repro.topologies.base import Link
 
 
 @dataclass(frozen=True)
@@ -66,19 +66,16 @@ class DetailedRoute:
 class DetailedRoutingResult:
     """Detailed routing of all links of a topology.
 
-    The per-link arrays are indexed like ``topology.links``; ``order`` is the
-    routing order of the global router, which :attr:`routes` follows.
-    ``segment_tracks`` gives the track of every row of the global routing's
-    ``segments`` array.
+    The per-link arrays are indexed like ``topology.links``, and
+    ``segment_tracks`` gives the track of every row of ``routing.segments``.
+    :attr:`routes` follows the global router's routing order.
     """
 
-    topology: Topology
-    order: np.ndarray
+    routing: GlobalRoutingResult
     horizontal_mm: np.ndarray
     vertical_mm: np.ndarray
     horizontal_cells: np.ndarray
     vertical_cells: np.ndarray
-    segments: np.ndarray
     segment_tracks: np.ndarray
     collisions: int
     tracks_per_channel: dict[tuple[str, int], int] = field(default_factory=dict)
@@ -86,10 +83,10 @@ class DetailedRoutingResult:
     @cached_property
     def routes(self) -> dict[Link, DetailedRoute]:
         """One :class:`DetailedRoute` per link, in routing order."""
-        links = self.topology.links
+        links = self.routing.topology.links
         tracks: dict[int, list[tuple[str, int, int]]] = {}
         for (index, horizontal, channel, _, _), track in zip(
-            self.segments.tolist(), self.segment_tracks.tolist()
+            self.routing.segments.tolist(), self.segment_tracks.tolist()
         ):
             tracks.setdefault(index, []).append(("H" if horizontal else "V", channel, track))
         horizontal_mm, vertical_mm = self.horizontal_mm.tolist(), self.vertical_mm.tolist()
@@ -104,12 +101,12 @@ class DetailedRoutingResult:
                 vertical_cells=vertical_cells[index],
                 tracks=tuple(tracks.get(index, ())),
             )
-            for index in self.order.tolist()
+            for index in self.routing.order.tolist()
         }
 
     def total_wire_length_mm(self) -> float:
         """Sum of physical wire lengths over all links."""
-        return sum((self.horizontal_mm + self.vertical_mm)[self.order].tolist())
+        return sum((self.horizontal_mm + self.vertical_mm)[self.routing.order].tolist())
 
     def total_horizontal_cells(self) -> int:
         """``N^H_cell`` summed over all links."""
@@ -240,13 +237,11 @@ def detailed_route(
     vertical_mm[routed] += np.abs(dst_y - y)[routed]
 
     return DetailedRoutingResult(
-        topology=topology,
-        order=routing.order,
+        routing=routing,
         horizontal_mm=horizontal_mm,
         vertical_mm=vertical_mm,
         horizontal_cells=_cells(horizontal_mm, grid.cell_width_mm),
         vertical_cells=_cells(vertical_mm, grid.cell_height_mm),
-        segments=segments,
         segment_tracks=tracks,
         collisions=total_collisions,
         tracks_per_channel=tracks_per_channel,

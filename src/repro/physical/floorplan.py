@@ -147,6 +147,18 @@ def preferred_port_side(topology: Topology, tile: int, link: Link) -> PortSide:
     return PORT_SIDES[int(_side_codes(target.row - source.row, target.col - source.col))]
 
 
+def port_side_codes(topology: Topology) -> np.ndarray:
+    """Face code of every port, as :func:`preferred_port_side` picks it.
+
+    Shaped like :attr:`Floorplan.port_sides`: ``[i, 0]`` is the port of link
+    ``i`` on its ``src`` tile, ``[i, 1]`` the one on its ``dst`` tile.
+    """
+    ends = topology.link_ends
+    d_row = np.diff(topology.tile_rows[ends], axis=1)
+    d_col = np.diff(topology.tile_cols[ends], axis=1)
+    return np.hstack([_side_codes(d_row, d_col), _side_codes(-d_row, -d_col)])
+
+
 def build_floorplan(topology: Topology, tile_geometry: TileGeometry) -> Floorplan:
     """Build the floorplan for ``topology`` (tile placement + port assignment).
 
@@ -155,11 +167,7 @@ def build_floorplan(topology: Topology, tile_geometry: TileGeometry) -> Floorpla
     of the face), which keeps short links short after detailed routing.
     """
     ends = topology.link_ends
-    d_row = np.diff(topology.tile_rows[ends], axis=1)
-    d_col = np.diff(topology.tile_cols[ends], axis=1)
-    # Side of every port: column 0 is the src end, column 1 the dst end.
-    sides = np.hstack([_side_codes(d_row, d_col), _side_codes(-d_row, -d_col)])
-
+    sides = port_side_codes(topology)
     # Rank every port within its face by (length, src, dst).  Links are in
     # canonical (src, dst) order, so the link index breaks length ties.
     faces = (ends * len(PORT_SIDES) + sides).ravel()

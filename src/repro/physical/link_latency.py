@@ -62,8 +62,8 @@ def estimate_link_latencies(
     This is the "topology with link latency estimates" output of Figure 3/4
     that parameterises the cycle-accurate simulation.
     """
-    links = detailed.topology.links
+    links = detailed.routing.topology.links
     cells = list(zip(detailed.horizontal_cells.tolist(), detailed.vertical_cells.tolist()))
     # Links with equal cell counts have equal latencies: compute each once.
     cycles = {pair: link_latency_cycles(params, grid, *pair) for pair in set(cells)}
-    return {links[index]: cycles[cells[index]] for index in detailed.order.tolist()}
+    return {links[index]: cycles[cells[index]] for index in detailed.routing.order.tolist()}

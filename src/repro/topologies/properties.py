@@ -80,7 +80,7 @@ def analyze_topology(topology: Topology) -> TopologyProperties:
     topology.validate_connected()
     num_links = topology.num_links
     aligned = sum(1 for link in topology.links if topology.link_is_aligned(link))
-    lengths = [topology.link_grid_length(link) for link in topology.links]
+    lengths = topology.link_lengths.tolist()
     short = sum(1 for length in lengths if length == 1)
 
     present, used = _minimal_path_analysis(topology)
@@ -139,8 +139,8 @@ def _minimal_path_analysis(topology: Topology) -> tuple[bool, bool]:
 
     present = True
     used = True
+    rows, cols = topology.tile_rows.tolist(), topology.tile_cols.tolist()
     for src in topology.tiles():
-        src_coord = topology.coord(src)
         # Minimum physical length among hop-minimal paths, via a Dijkstra
         # restricted to edges that lie on some hop-minimal path from src.
         min_physical_on_hop_minimal = _min_length_on_hop_minimal_paths(
@@ -149,8 +149,7 @@ def _minimal_path_analysis(topology: Topology) -> tuple[bool, bool]:
         for dst in topology.tiles():
             if dst == src:
                 continue
-            dst_coord = topology.coord(dst)
-            manhattan = abs(src_coord.row - dst_coord.row) + abs(src_coord.col - dst_coord.col)
+            manhattan = abs(rows[src] - rows[dst]) + abs(cols[src] - cols[dst])
             if physical_distance[src][dst] > manhattan:
                 present = False
             if min_physical_on_hop_minimal[dst] > manhattan:
