@@ -92,16 +92,6 @@ class Campaign:
             self.add(spec)
         return self
 
-    def deduplicated(self) -> "Campaign":
-        """Copy with duplicate specs (same ``spec_id``) removed, order kept."""
-        seen: set[str] = set()
-        unique = []
-        for spec in self.specs:
-            if spec.spec_id not in seen:
-                seen.add(spec.spec_id)
-                unique.append(spec)
-        return Campaign(specs=unique, name=self.name)
-
     # ------------------------------------------------------------ expansion
     @classmethod
     def grid(

@@ -6,10 +6,12 @@ Results are memoized in a :class:`~repro.service.store.ResultStore` keyed by
 identical campaign — the Figure 6 reproduction, a design-space sweep — is
 instant.  Specs run in *units* (a fused gang or a single spec, see
 :func:`~repro.experiments.scheduler.run_unit`), in-process or fanned out
-over a :class:`ProcessPoolExecutor`; in-process units share topologies and
-prediction toolchains across specs that differ only in traffic pattern,
-which lets the toolchain's per-topology routing-table cache skip redundant
-BFS work.  Each unit's results are memoized as soon as the unit finishes.
+over a :class:`ProcessPoolExecutor`; in-process units take their
+topologies, routing tables, physical results and workload traces from one
+:class:`~repro.experiments.scheduler.SharedBuilds` scope, so specs that
+differ only in traffic pattern build them once.  Each unit's results are
+memoized as soon as the unit finishes, under the ``trace_id`` of the trace
+the unit replayed.
 
 Stored results and parallel-worker payloads round-trip through JSON (see
 :mod:`repro.experiments.serialization`): the scalar prediction metrics and
@@ -48,6 +50,14 @@ from repro.toolchain.results import PredictionResult
 from repro.utils.validation import ValidationError
 
 
+def _run_traced(
+    specs: Sequence[ExperimentSpec], builds: SharedBuilds
+) -> tuple[list[PredictionResult], int | None, list[str | None]]:
+    """:func:`run_unit` plus the ``trace_id`` of each spec's workload trace."""
+    trace_ids = [getattr(builds.trace(spec), "trace_id", None) for spec in specs]
+    return (*run_unit(specs, builds), trace_ids)
+
+
 def _unit_payload(spec_dicts: list[dict[str, Any]]) -> dict[str, Any]:
     """Process-pool worker: run one unit, return its serialized predictions.
 
@@ -56,10 +66,11 @@ def _unit_payload(spec_dicts: list[dict[str, Any]]) -> dict[str, Any]:
     networks gangs each one while still using every core.
     """
     specs = [ExperimentSpec.from_dict(spec_dict) for spec_dict in spec_dicts]
-    predictions, lanes = run_unit(specs)
+    predictions, lanes, trace_ids = _run_traced(specs, SharedBuilds(specs))
     return {
         "results": [prediction_to_dict(prediction) for prediction in predictions],
         "lanes": lanes,
+        "trace_ids": trace_ids,
     }
 
 
@@ -367,6 +378,7 @@ class ExperimentRunner:
         experiments: Campaign | ExperimentSpec | Sequence[ExperimentSpec],
         parallel: int | None = None,
         progress: bool = False,
+        builds: SharedBuilds | None = None,
     ) -> ResultSet:
         """Execute a campaign (or spec, or list of specs) and return results.
 
@@ -388,6 +400,12 @@ class ExperimentRunner:
         fused gang is written to stderr with elapsed time and a
         remaining-time estimate — ``repro campaign``/``repro optimize``
         enable this when stderr is a terminal.
+
+        In-process units take their artifacts (topologies, routing tables,
+        physical results, traces) from ``builds``, a
+        :class:`~repro.experiments.scheduler.SharedBuilds` scope: a fresh
+        one for this call when omitted, or the caller's, so a search shares
+        its screening builds with its rungs.  Pool workers build their own.
         """
         if isinstance(experiments, ExperimentSpec):
             specs = [experiments]
@@ -434,12 +452,15 @@ class ExperimentRunner:
             [spec] for spec in unique.values() if spec.spec_id not in ganged_ids
         ]
 
-        def finished(unit, predictions, lanes) -> None:
-            for spec, prediction in zip(unit, predictions):
+        def finished(unit, predictions, lanes, trace_ids) -> None:
+            for spec, prediction, trace_id in zip(unit, predictions, trace_ids):
                 computed[spec.spec_id] = prediction
                 if self.store is not None:
                     self.store.put(
-                        spec, prediction_to_dict(prediction), search_id=self.search_id
+                        spec,
+                        prediction_to_dict(prediction),
+                        search_id=self.search_id,
+                        trace_id=trace_id,
                     )
             if reporter is not None:
                 reporter.completed(unit, lanes)
@@ -454,11 +475,12 @@ class ExperimentRunner:
                 # progress lines appear) as each next-in-order unit finishes.
                 for unit, payload in zip(units, payloads):
                     predictions = [prediction_from_dict(r) for r in payload["results"]]
-                    finished(unit, predictions, payload["lanes"])
+                    finished(unit, predictions, payload["lanes"], payload["trace_ids"])
         else:
-            builds = SharedBuilds(unique.values())
+            builds = builds if builds is not None else SharedBuilds()
+            builds.hold(unique.values())
             for unit in units:
-                finished(unit, *run_unit(unit, builds))
+                finished(unit, *_run_traced(unit, builds))
 
         for index, spec in pending:
             slots[index] = ExperimentResult(

@@ -1,8 +1,7 @@
-"""Execution units: gangs of specs fused into recycled vec kernels, or one spec.
+"""Execution units and the build scope they take their artifacts from.
 
 :func:`run_unit` is what the campaign runner (in-process or in a pool
-worker) and the queue worker execute: one spec through its
-:class:`~repro.toolchain.predict.PredictionToolchain`, or a *gang* — specs
+worker) and the queue worker execute: one spec, or a *gang* — specs
 sharing one compiled :class:`~repro.simulator.network.Network` — packed
 into one fused kernel:
 
@@ -13,11 +12,13 @@ into one fused kernel:
    :meth:`~repro.simulator.simulation.SimulationConfig.network_config`.
    Analytical specs and specs pinned to the ``sanitizer`` engine (whose
    per-cycle audits must actually run) never gang.
-2. **Execution** — :func:`run_gang_detailed` asks each spec's toolchain for
-   its plan (saturation search or one trace-replay round) and runs all of
-   them through :func:`~repro.simulator.sweep.run_plans` on one
-   lane-recycled vec kernel, so the batch axis stays full instead of
-   waiting on the slowest lane; each toolchain then assembles its
+2. **Execution** — every unit takes its topology, routing tables, physical
+   results and workload traces from a :class:`SharedBuilds` scope and goes
+   through :func:`~repro.toolchain.predict.run_predictions`: each spec's
+   toolchain plans it (saturation search or one trace-replay round),
+   :func:`~repro.simulator.sweep.run_plans` runs the plans — a gang's on
+   one lane-recycled vec kernel, so the batch axis stays full instead of
+   waiting on the slowest lane — and each toolchain assembles its
    :class:`~repro.toolchain.results.PredictionResult`.
 
 Every lane is bit-identical to its solo run, the plans emit the same rounds
@@ -25,6 +26,10 @@ as the sequential search, and results are assembled by the same code as
 :meth:`~repro.toolchain.predict.PredictionToolchain.predict` — so
 memoization keys *and* cached payloads are unchanged, and cross-engine cache
 hits keep working.
+
+A :class:`SharedBuilds` scope lives for one entry-point call (one
+:meth:`~repro.experiments.runner.ExperimentRunner.run`, one
+:func:`~repro.optimize.search.run_search`); nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -32,16 +37,16 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-from repro.experiments.spec import ExperimentSpec, toolchain_key, topology_key
-from repro.physical.model import NoCPhysicalModel
-from repro.simulator.network import build_network
-from repro.simulator.sweep import run_plans
-from repro.toolchain.predict import PredictionToolchain
+from repro.experiments.spec import ExperimentSpec, topology_key
+from repro.physical.model import NoCPhysicalModel, PhysicalModelResult
+from repro.simulator.routing_tables import RoutingTables, build_routing_tables
+from repro.toolchain.predict import run_predictions
 from repro.toolchain.results import PredictionResult
 from repro.topologies.base import Topology
 from repro.utils.validation import ValidationError
+from repro.workloads.trace import WorkloadTrace
 
 #: Engines whose specs must never be fused: the gang executes every lane on
 #: the vec kernel, which would silently skip the sanitizer's runtime audits.
@@ -112,38 +117,103 @@ def plan_gangs(specs: Iterable[ExperimentSpec]) -> list[list[ExperimentSpec]]:
 
 
 class SharedBuilds:
-    """Topologies and toolchains shared by the specs of one run.
+    """The derived artifacts of one entry-point call, each built once.
 
-    Specs that describe the same graph share one topology object, and specs
-    that differ only in traffic share one toolchain — and with it the
-    toolchain's routing tables for that topology.  Each object is dropped
-    as soon as the last spec needing it has been released, so a
-    4096-configuration design-space sweep never holds 4096 routing tables
-    at once.
+    Specs ask the scope for their artifacts; the first ask builds one, and
+    every later ask with the same content key gets the same object:
+
+    * the topology and its routing tables, keyed by
+      :func:`~repro.experiments.spec.topology_key`;
+    * the physical-model result, keyed by ``topology_key`` plus
+      :meth:`~repro.experiments.spec.ExperimentSpec.build_parameters`;
+    * the workload trace, keyed by the workload mapping plus the grid size.
+
+    Artifacts are reference-counted: :meth:`hold` adds one use per spec,
+    :meth:`release` removes it, and an artifact is dropped as soon as no
+    held spec needs it — so a 4096-configuration design-space sweep never
+    holds 4096 routing tables at once.  A scope lives for one call (one
+    runner run, one search) and is never shared across calls.
     """
 
-    def __init__(self, specs: Iterable[ExperimentSpec]) -> None:
-        self._left = Counter(key for spec in specs for key in self._keys(spec))
+    def __init__(self, specs: Iterable[ExperimentSpec] = ()) -> None:
+        self._left: Counter = Counter()
         self._built: dict[tuple, Any] = {}
+        self.hold(specs)
 
     @staticmethod
-    def _keys(spec: ExperimentSpec) -> tuple[tuple, tuple]:
-        return ("toolchain", toolchain_key(spec)), ("topology", topology_key(spec))
+    def _keys(spec: ExperimentSpec) -> dict[str, tuple]:
+        """The content key of every artifact ``spec`` runs on, by kind."""
+        topology = topology_key(spec)
+        keys = {
+            "topology": ("topology", topology),
+            "routing": ("routing", topology),
+            "physical": ("physical", topology, spec.build_parameters()),
+        }
+        if spec.workload is not None:
+            workload = json.dumps(dict(spec.workload), sort_keys=True)
+            keys["trace"] = ("trace", workload, spec.rows, spec.cols)
+        return keys
 
-    def __call__(self, spec: ExperimentSpec) -> tuple[PredictionToolchain, Topology]:
-        """The (shared) toolchain and topology ``spec`` runs on."""
-        builders = (spec.build_toolchain, spec.build_topology)
-        for key, build in zip(self._keys(spec), builders):
-            if key not in self._built:
-                self._built[key] = build()
-        return tuple(self._built[key] for key in self._keys(spec))
+    def _get(self, spec: ExperimentSpec, kind: str, build: Callable[[], Any]) -> Any:
+        key = self._keys(spec)[kind]
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def hold(self, specs: Iterable[ExperimentSpec]) -> None:
+        """Keep every artifact of ``specs`` until each spec is released."""
+        for spec in specs:
+            self._left.update(self._keys(spec).values())
 
     def release(self, spec: ExperimentSpec) -> None:
-        """``spec`` has run: drop whatever no remaining spec needs."""
-        for key in self._keys(spec):
+        """``spec`` is done: drop whatever no held spec needs."""
+        for key in self._keys(spec).values():
             self._left[key] -= 1
             if self._left[key] <= 0:
+                del self._left[key]
                 self._built.pop(key, None)
+
+    def topology(self, spec: ExperimentSpec) -> Topology:
+        """The topology ``spec`` describes."""
+        return self._get(spec, "topology", spec.build_topology)
+
+    def routing(self, spec: ExperimentSpec) -> RoutingTables:
+        """The routing tables of ``spec``'s topology."""
+        return self._get(
+            spec, "routing", lambda: build_routing_tables(self.topology(spec))
+        )
+
+    def physical(self, spec: ExperimentSpec) -> PhysicalModelResult:
+        """The physical-model result of ``spec``'s topology and architecture."""
+        return self._get(
+            spec,
+            "physical",
+            lambda: NoCPhysicalModel(spec.build_parameters()).evaluate(
+                self.topology(spec)
+            ),
+        )
+
+    def trace(self, spec: ExperimentSpec) -> WorkloadTrace | None:
+        """The workload trace ``spec`` replays (``None`` if synthetic)."""
+        if spec.workload is None:
+            return None
+        return self._get(spec, "trace", spec.build_workload_trace)
+
+
+def _run(
+    specs: Sequence[ExperimentSpec],
+    builds: SharedBuilds,
+    batched: bool,
+    max_width: int | None = None,
+) -> tuple[list[PredictionResult], int]:
+    """Predict ``specs`` (one spec, or a gang) from the artifacts in ``builds``."""
+    jobs = [
+        (spec.build_toolchain(), spec.traffic, builds.physical(spec), builds.trace(spec))
+        for spec in specs
+    ]
+    return run_predictions(
+        builds.topology(specs[0]), builds.routing(specs[0]), jobs, batched, max_width
+    )
 
 
 def run_gang_detailed(
@@ -161,10 +231,9 @@ def run_gang_detailed(
     metric match the sequential path exactly — plus the total lane count
     (for progress reporting).
 
-    The physical model runs once per distinct
-    :meth:`~repro.experiments.spec.ExperimentSpec.build_parameters`: the
-    gang key fixes every input of the link latencies, so one network
-    serves every spec.
+    The gang key fixes every input of the link latencies, so one network
+    serves every spec.  Artifacts come from ``builds`` (a scope of their
+    own when omitted).
     """
     specs = list(specs)
     if not specs:
@@ -180,32 +249,8 @@ def run_gang_detailed(
             "all specs of a gang must share one gang_key(); "
             "group with plan_gangs() first"
         )
-
     builds = builds if builds is not None else SharedBuilds(specs)
-    chains = [builds(spec)[0] for spec in specs]
-    topology = builds(specs[0])[1]
-    physicals = {}
-    for chain in chains:
-        if chain.params not in physicals:
-            physicals[chain.params] = NoCPhysicalModel(chain.params).evaluate(topology)
-    network = build_network(
-        topology,
-        config=chains[0].simulation_config.network_config(),
-        link_latencies=physicals[chains[0].params].link_latencies,
-        routing=chains[0].routing_for(topology),
-    )
-    plans, traces = zip(
-        *(chain.plan(topology, spec.traffic, batched=True)
-          for spec, chain in zip(specs, chains))
-    )
-    outcomes, lanes = run_plans(
-        topology, network, plans, batched=True, traces=traces, max_width=max_width
-    )
-    results = [
-        chain.assemble(topology, physicals[chain.params], outcome)
-        for chain, outcome in zip(chains, outcomes)
-    ]
-    return results, lanes
+    return _run(specs, builds, batched=True, max_width=max_width)
 
 
 def run_unit(
@@ -214,17 +259,16 @@ def run_unit(
     """Run one execution unit: a gang fused through one kernel, or one spec.
 
     Returns the predictions in ``specs`` order and the gang's lane count
-    (``None`` for a single spec).  ``builds`` shares topologies and
-    toolchains with the other units of an in-process run; each spec is
-    released from it once the unit has run.
+    (``None`` for a single spec).  ``builds`` shares artifacts with the
+    other units of an in-process run; each spec is released from it once
+    the unit has run.
     """
     builds = builds if builds is not None else SharedBuilds(specs)
     if len(specs) > 1:
         predictions, lanes = run_gang_detailed(specs, builds=builds)
     else:
-        (spec,) = specs
-        chain, topology = builds(spec)
-        predictions, lanes = [chain.predict(topology, traffic=spec.traffic)], None
+        batched = specs[0].build_simulation_config().batched
+        predictions, lanes = _run(specs, builds, batched)[0], None
     for spec in specs:
         builds.release(spec)
     return predictions, lanes

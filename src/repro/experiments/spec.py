@@ -458,23 +458,6 @@ class ExperimentSpec:
         return " ".join(parts)
 
 
-# Toolchain/topology sharing keys used by the runner: specs that differ only
-# in traffic share a toolchain (and therefore its routing-table cache), and
-# specs that describe the same graph share the topology object.
-def toolchain_key(spec: ExperimentSpec) -> tuple:
-    """Hashable key of everything the toolchain depends on except traffic."""
-    return (
-        spec.scenario,
-        json.dumps(dict(spec.arch), sort_keys=True),
-        spec.performance_mode,
-        json.dumps(dict(spec.sim), sort_keys=True),
-        json.dumps(dict(spec.workload), sort_keys=True) if spec.workload else None,
-        spec.rows,
-        spec.cols,
-        spec.label,
-    )
-
-
 def topology_key(spec: ExperimentSpec) -> tuple:
     """Hashable key of everything the topology build depends on."""
     return (
@@ -492,6 +475,5 @@ __all__ = [
     "PROTOCOL_PRESETS",
     "DEFAULT_ENDPOINT_AREA_GE",
     "check_sim_overrides",
-    "toolchain_key",
     "topology_key",
 ]

@@ -18,6 +18,12 @@
    scaled-down simulation budget; the final rung runs at the spec's full
    budget, and its best candidate is the winner.
 
+Both stages and the baseline take their artifacts (topologies, physical
+results, routing tables, the workload trace) from one
+:class:`~repro.experiments.scheduler.SharedBuilds` scope, so a survivor is
+simulated on exactly the objects it was screened with and nothing is built
+twice.
+
 Everything is deterministic given the spec: candidate enumeration is seeded,
 simulations are seeded, and all ranking ties break on the candidate's
 canonical sort key.  Because every cycle-accurate evaluation is an ordinary
@@ -32,10 +38,11 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.experiments.runner import ExperimentRunner, prediction_to_dict
+from repro.experiments.scheduler import SharedBuilds
+from repro.experiments.spec import ExperimentSpec
 from repro.optimize.objectives import Constraints, Objective
 from repro.optimize.space import Candidate
 from repro.optimize.spec import SearchSpec
-from repro.simulator.routing_tables import build_routing_tables
 from repro.simulator.simulation import SimulationConfig
 from repro.toolchain.results import PredictionResult
 from repro.toolchain.screening import (
@@ -45,7 +52,6 @@ from repro.toolchain.screening import (
 )
 from repro.utils.validation import ValidationError
 from repro.verify.static import verify_topology
-from repro.workloads.generators import workload_trace_from_mapping
 
 #: Fidelity floors of the scaled-down early rungs (cycles).  Only applied
 #: when a budget is actually scaled down — the final rung always runs the
@@ -288,23 +294,29 @@ def _screen(
     candidates: list[Candidate],
     objective: Objective,
     constraints: Constraints,
+    builds: SharedBuilds,
 ) -> list[ScreenRecord]:
-    """Stage 1: constraint checks + cheap-model scoring of every candidate."""
-    params = spec.build_parameters()
-    trace = None
-    if objective.workload is not None:
-        trace = workload_trace_from_mapping(
-            dict(objective.workload), spec.rows, spec.cols
-        )
-    base_sim = SimulationConfig(**{**dict(spec.sim), "traffic": spec.traffic})
-    from repro.physical.model import NoCPhysicalModel
+    """Stage 1: constraint checks + cheap-model scoring of every candidate.
 
-    model = NoCPhysicalModel(params)
+    Each candidate's artifacts come from ``builds`` and stay held only while
+    it can still be a survivor: on return, ``builds`` holds the best
+    ``spec.survivors`` feasible candidates by ``(score, sort_key)``.
+    """
+    base_sim = SimulationConfig(**{**dict(spec.sim), "traffic": spec.traffic})
     records: list[ScreenRecord] = []
+    best: list[tuple[tuple, ExperimentSpec]] = []
+    out: ExperimentSpec | None = None
     for candidate in candidates:
         # Build through the candidate's ExperimentSpec so screening sees
         # exactly the graph the cycle-accurate stage will simulate.
-        topology = spec.candidate_spec(candidate).build_topology()
+        candidate_spec = spec.candidate_spec(candidate)
+        builds.hold([candidate_spec])
+        if out is not None:
+            # Released only now, so what it shares with this candidate (the
+            # workload trace) is not dropped and rebuilt in between.
+            builds.release(out)
+        out = candidate_spec
+        topology = builds.topology(candidate_spec)
         link_violation = constraints.link_length_violation(max_link_length(topology))
         if link_violation is not None:
             records.append(
@@ -315,12 +327,12 @@ def _screen(
                 )
             )
             continue
-        routing = build_routing_tables(topology)
+        routing = builds.routing(candidate_spec)
         estimate = screen_topology(
             topology,
-            model,
+            builds.physical(candidate_spec),
             traffic=spec.traffic,
-            trace=trace,
+            trace=builds.trace(candidate_spec),
             packet_size_flits=base_sim.packet_size_flits,
             router_pipeline_cycles=base_sim.router_pipeline_cycles,
             routing=routing,
@@ -343,16 +355,21 @@ def _screen(
                     f"routing verification: [{violation.rule}] {violation.message}"
                     for violation in report.violations[:3]
                 )
-        records.append(
-            ScreenRecord(
-                candidate=candidate,
-                feasible=not reasons,
-                reasons=reasons,
-                score=objective.screening_score(estimate),
-                estimate=estimate,
-                verified=verified,
-            )
+        record = ScreenRecord(
+            candidate=candidate,
+            feasible=not reasons,
+            reasons=reasons,
+            score=objective.screening_score(estimate),
+            estimate=estimate,
+            verified=verified,
         )
+        records.append(record)
+        if record.feasible:
+            best.append(((record.score, candidate.sort_key), candidate_spec))
+            best.sort(key=lambda entry: entry[0])
+            out = best.pop()[1] if len(best) > spec.survivors else None
+    if out is not None:
+        builds.release(out)
     return records
 
 
@@ -403,9 +420,17 @@ def run_search(
         )
     if runner is None:
         runner = ExperimentRunner(store=store, search_id=spec.search_id)
+    # One build scope serves screening, the rungs and the baseline, so each
+    # candidate's topology, physical result and routing tables (and the
+    # workload trace) are built once.  The baseline is held throughout: it
+    # runs last.
+    builds = SharedBuilds()
+    baseline = spec.baseline_candidate()
+    if baseline is not None:
+        builds.hold([spec.candidate_spec(baseline)])
 
     # ---------------------------------------------------- stage 1: screening
-    screening = _screen(spec, candidates, objective, constraints)
+    screening = _screen(spec, candidates, objective, constraints, builds)
     feasible = [record for record in screening if record.feasible]
     if not feasible:
         raise ValidationError(
@@ -429,7 +454,7 @@ def run_search(
             spec.candidate_spec(candidate, sim_overrides=overrides)
             for candidate in current
         ]
-        results = runner.run(specs, parallel=parallel, progress=progress)
+        results = runner.run(specs, parallel=parallel, progress=progress, builds=builds)
         num_cached += results.num_cached
         entries = [
             RungEntry(
@@ -447,15 +472,18 @@ def run_search(
         )
         keep = max(1, (len(entries) + 1) // 2) if rung < num_rungs - 1 else 1
         current = [entry.candidate for entry in entries[:keep]]
+        for entry in entries[keep:]:
+            builds.release(spec.candidate_spec(entry.candidate))
 
     final_best = rungs[-1].entries[0]
 
     # ------------------------------------------------------------- baseline
     baseline_prediction: PredictionResult | None = None
     baseline_score: float | None = None
-    baseline = spec.baseline_candidate()
     if baseline is not None:
-        baseline_results = runner.run([spec.candidate_spec(baseline)], parallel=None)
+        baseline_results = runner.run(
+            [spec.candidate_spec(baseline)], parallel=None, builds=builds
+        )
         num_cached += baseline_results.num_cached
         baseline_prediction = baseline_results[0].prediction
         baseline_score = objective.prediction_score(baseline_prediction)

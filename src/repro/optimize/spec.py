@@ -153,14 +153,6 @@ class SearchSpec:
         """The :class:`Constraints` this spec enforces."""
         return Constraints.from_dict(self.constraints)
 
-    def build_parameters(self):
-        """Resolve the shared :class:`ArchitecturalParameters` of the search.
-
-        Identical for every candidate (the architecture does not depend on
-        the topology), so the screening batch resolves it once.
-        """
-        return self.candidate_spec(Candidate(topology="mesh")).build_parameters()
-
     def baseline_candidate(self) -> Candidate | None:
         """The baseline as a :class:`Candidate` (``None`` when disabled)."""
         if self.baseline is None:

@@ -102,15 +102,6 @@ class Floorplan:
             raise ValidationError(f"link {link} has no port on tile {tile}")
         return self.ports[key]
 
-    def ports_on_side(self, tile: int, side: PortSide) -> list[PortAssignment]:
-        """All ports of ``tile`` on the given face, ordered by offset."""
-        found = [
-            assignment
-            for (t, _), assignment in self.ports.items()
-            if t == tile and assignment.side == side
-        ]
-        return sorted(found, key=lambda a: a.offset_fraction)
-
     def max_ports_per_side(self) -> int:
         """Maximum number of ports any tile places on a single face."""
         faces = self.topology.link_ends * len(PORT_SIDES) + self.port_sides

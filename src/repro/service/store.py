@@ -318,6 +318,7 @@ class ResultStore:
         spec: ExperimentSpec,
         result: Mapping[str, Any],
         search_id: str | None = None,
+        trace_id: str | None = None,
     ) -> str:
         """Atomically upsert one result; returns the ``spec_id`` row key.
 
@@ -325,20 +326,20 @@ class ResultStore:
         ----------
         spec:
             The executed spec (its ``spec_id`` is the row key; identity
-            columns and the workload's ``trace_id`` are derived from it).
+            columns are derived from it).
         result:
             Serialized prediction
             (:func:`~repro.experiments.serialization.prediction_to_dict`).
         search_id:
             Optional owning search; on upsert an existing non-NULL
             ``search_id`` is preserved when the new write has none.
+        trace_id:
+            The ``trace_id`` of the workload trace the result replayed, from
+            a caller that already built it.  Omitted for a workload spec,
+            it is derived by generating the spec's trace.
         """
         validate_result_payload(result)
-        trace_id = None
-        if spec.workload is not None:
-            # Trace generation is deterministic and cheap next to the
-            # simulation that produced the result; regenerating here keeps
-            # trace_id an intrinsic property instead of caller-supplied data.
+        if trace_id is None and spec.workload is not None:
             trace_id = spec.build_workload_trace().trace_id
         now = time.time()
         with closing(self._connect()) as conn:

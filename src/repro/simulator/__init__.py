@@ -59,7 +59,6 @@ from repro.simulator.simulation import SimulationConfig, Simulator
 from repro.simulator.statistics import PhaseStats, SimulationStats
 from repro.simulator.sweep import (
     LoadSweepResult,
-    measure_zero_load_latency,
     find_saturation_throughput,
     replay_trace,
     run_batch,
@@ -97,7 +96,6 @@ __all__ = [
     "SimulationStats",
     "PhaseStats",
     "LoadSweepResult",
-    "measure_zero_load_latency",
     "find_saturation_throughput",
     "replay_trace",
     "run_batch",

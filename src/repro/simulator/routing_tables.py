@@ -91,17 +91,6 @@ class RoutingTables:
                 )
         return path
 
-    def average_minimal_hops(self) -> float:
-        """Mean hop count over all ordered source/destination pairs."""
-        num = len(self.minimal)
-        total = sum(
-            self.hop_distance[src][dst]
-            for src in range(num)
-            for dst in range(num)
-            if src != dst
-        )
-        return total / (num * (num - 1))
-
 
 #: Tie-break key of a neighbour that is not one hop closer (never chosen).
 _NO_KEY = np.iinfo(np.int64).max

@@ -54,7 +54,7 @@ from repro.simulator.routing_tables import RoutingTables
 from repro.simulator.simulation import SimulationConfig, Simulator
 from repro.simulator.statistics import SimulationStats
 from repro.topologies.base import Link, Topology
-from repro.utils.validation import ValidationError, check_in_range
+from repro.utils.validation import ValidationError
 
 if TYPE_CHECKING:  # imported for type hints only; no runtime dependency
     from repro.workloads.trace import WorkloadTrace
@@ -227,22 +227,6 @@ def run_batch(
     network = _shared_network(topology, configs[0], link_latencies, routing, network)
     plans = [single_plan(config) for config in configs]
     return run_plans(topology, network, plans, batched=True, traces=traces)[0]
-
-
-def measure_zero_load_latency(
-    topology: Topology,
-    config: SimulationConfig | None = None,
-    link_latencies: dict[Link, int] | None = None,
-    routing: RoutingTables | None = None,
-    probe_rate: float = 0.01,
-    network: Network | None = None,
-) -> SimulationStats:
-    """Measure the latency at a probe load low enough to avoid contention."""
-    check_in_range("probe_rate", probe_rate, 0.0, 1.0)
-    ((_, stats),) = run_load_sweep(
-        topology, [probe_rate], config, link_latencies, routing, network
-    )
-    return stats
 
 
 def _is_saturated(

@@ -19,11 +19,7 @@ from repro.toolchain.analytical import (
     pair_weights_from_trace,
 )
 from repro.toolchain.predict import PredictionToolchain, predict
-from repro.toolchain.screening import (
-    ScreeningEstimate,
-    screen_topologies,
-    screen_topology,
-)
+from repro.toolchain.screening import ScreeningEstimate, screen_topology
 
 __all__ = [
     "PredictionResult",
@@ -33,6 +29,5 @@ __all__ = [
     "PredictionToolchain",
     "predict",
     "ScreeningEstimate",
-    "screen_topologies",
     "screen_topology",
 ]

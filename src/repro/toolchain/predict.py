@@ -10,17 +10,18 @@ A prediction is three steps: :meth:`PredictionToolchain.plan` turns it into a
 simulation plan (none in analytical mode, the saturation search, or one
 trace-replay round), :func:`~repro.simulator.sweep.run_plans` runs the plan,
 and :meth:`PredictionToolchain.assemble` builds the
-:class:`~repro.toolchain.results.PredictionResult`.  :meth:`predict` chains
-them for one topology; the gang scheduler
-(:mod:`repro.experiments.scheduler`) runs many specs' plans in one kernel and
-assembles each result the same way.
+:class:`~repro.toolchain.results.PredictionResult`.  :func:`run_predictions`
+chains them over artifacts the caller already built (topology, routing
+tables, physical results, traces).  :meth:`PredictionToolchain.predict`
+builds those artifacts for one topology and calls it; the execution units of
+:mod:`repro.experiments.scheduler` take them from the build scope of their
+run and call it for one spec or a whole gang.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.physical.model import NoCPhysicalModel, PhysicalModelResult
 from repro.physical.parameters import ArchitecturalParameters
@@ -90,33 +91,9 @@ class PredictionToolchain:
                 raise ValidationError(
                     "trace-driven workloads require performance_mode='simulation'"
                 )
-        self._physical_model = NoCPhysicalModel(self.params)
-        # Routing tables depend only on the topology, not on the traffic or
-        # injection rate, so sweeps that vary only those knobs reuse the BFS
-        # work.  Keyed by object identity with a weakref guard against id()
-        # reuse after garbage collection.
-        self._routing_cache: dict[int, tuple[weakref.ref, RoutingTables]] = {}
 
-    def routing_for(self, topology: Topology) -> RoutingTables:
-        """Routing tables for ``topology``, memoized per topology object."""
-        key = id(topology)
-        entry = self._routing_cache.get(key)
-        if entry is not None and entry[0]() is topology:
-            return entry[1]
-        routing = build_routing_tables(topology)
-        if len(self._routing_cache) >= 256:
-            self._routing_cache = {
-                k: (ref, tables)
-                for k, (ref, tables) in self._routing_cache.items()
-                if ref() is not None
-            }
-        self._routing_cache[key] = (weakref.ref(topology), routing)
-        return routing
-
-    def plan(
-        self, topology: Topology, traffic: str, batched: bool
-    ) -> "tuple[Plan, WorkloadTrace | None] | None":
-        """The simulation plan of one prediction and the trace it replays.
+    def plan(self, traffic: str, batched: bool) -> Plan | None:
+        """The simulation plan of one prediction.
 
         ``None`` in analytical mode; one replay round for a trace-driven
         workload; otherwise the saturation search under ``traffic``, with
@@ -124,17 +101,12 @@ class PredictionToolchain:
         """
         config = self.simulation_config
         if self.workload is not None:
-            from repro.workloads.generators import workload_trace_from_mapping
-
-            trace = workload_trace_from_mapping(
-                dict(self.workload), topology.rows, topology.cols
-            )
-            return single_plan(config), trace
+            return single_plan(config)
         if self.performance_mode != "simulation":
             return None
         if traffic != config.traffic:
             config = replace(config, traffic=traffic)
-        return saturation_plan(config, batch_coarse=batched), None
+        return saturation_plan(config, batch_coarse=batched)
 
     def assemble(
         self, topology: Topology, physical: PhysicalModelResult, outcome: Any
@@ -178,42 +150,90 @@ class PredictionToolchain:
         """Predict cost and performance of ``topology`` on this architecture.
 
         ``traffic`` overrides the toolchain's default traffic pattern for this
-        call only (used by campaign sweeps that vary the pattern while keeping
-        the architecture fixed).
+        call only.  Every artifact of the prediction is built by this call;
+        runs of many specs share them through
+        :class:`~repro.experiments.scheduler.SharedBuilds` instead.
         """
-        physical = self._physical_model.evaluate(topology)
-        routing = self.routing_for(topology)
+        physical = NoCPhysicalModel(self.params).evaluate(topology)
+        routing = build_routing_tables(topology)
+        trace = None
+        if self.workload is not None:
+            from repro.workloads.generators import workload_trace_from_mapping
+
+            trace = workload_trace_from_mapping(
+                dict(self.workload), topology.rows, topology.cols
+            )
         traffic = self.traffic if traffic is None else traffic
-        batched = self.simulation_config.batched
-        planned = self.plan(topology, traffic, batched)
-        if planned is None:
-            outcome = analytical_performance(
-                topology,
-                link_latencies=physical.link_latencies,
-                routing=routing,
-                traffic=traffic,
-                packet_size_flits=self.simulation_config.packet_size_flits,
-                router_pipeline_cycles=self.simulation_config.router_pipeline_cycles,
-            )
-        else:
-            plan, trace = planned
-            # One network (with the physical model's link latencies baked
-            # in) serves every run of the plan, and with it the compiled
-            # routing arrays.
-            network = build_network(
-                topology,
-                config=self.simulation_config.network_config(),
-                link_latencies=physical.link_latencies,
-                routing=routing,
-            )
-            (outcome,), _ = run_plans(
-                topology, network, [plan], batched, traces=[trace]
-            )
-        return self.assemble(topology, physical, outcome)
+        (result,), _ = run_predictions(
+            topology,
+            routing,
+            [(self, traffic, physical, trace)],
+            self.simulation_config.batched,
+        )
+        return result
 
     def __call__(self, topology: Topology, traffic: str | None = None) -> PredictionResult:
         """Alias for :meth:`predict` (lets the toolchain act as a plain predictor)."""
         return self.predict(topology, traffic=traffic)
+
+
+def run_predictions(
+    topology: Topology,
+    routing: RoutingTables,
+    jobs: Sequence[
+        tuple[PredictionToolchain, str, PhysicalModelResult, WorkloadTrace | None]
+    ],
+    batched: bool,
+    max_width: int | None = None,
+) -> tuple[list[PredictionResult], int]:
+    """Plan, run and assemble ``jobs`` on ``topology``: ``(results, lanes run)``.
+
+    A job is one prediction: its toolchain, traffic pattern, the topology's
+    physical-model result under the toolchain's parameters, and the workload
+    trace it replays (``None`` if synthetic).  Analytical jobs are evaluated
+    one by one.  Simulated jobs run their plans through
+    :func:`~repro.simulator.sweep.run_plans` on one network compiled from
+    the first job's router configuration and link latencies, so they must
+    share both (one spec, or a gang).  Results are parallel to ``jobs``.
+    """
+    plans = [chain.plan(traffic, batched) for chain, traffic, _, _ in jobs]
+    if plans[0] is None:
+        lanes = 0
+        outcomes = [
+            analytical_performance(
+                topology,
+                link_latencies=physical.link_latencies,
+                routing=routing,
+                traffic=traffic,
+                packet_size_flits=chain.simulation_config.packet_size_flits,
+                router_pipeline_cycles=chain.simulation_config.router_pipeline_cycles,
+            )
+            for chain, traffic, physical, _ in jobs
+        ]
+    else:
+        chain, _, physical, _ = jobs[0]
+        # One network (with the physical model's link latencies baked in)
+        # serves every run of every plan, and with it the compiled routing
+        # arrays.
+        network = build_network(
+            topology,
+            config=chain.simulation_config.network_config(),
+            link_latencies=physical.link_latencies,
+            routing=routing,
+        )
+        outcomes, lanes = run_plans(
+            topology,
+            network,
+            plans,
+            batched,
+            traces=[trace for _, _, _, trace in jobs],
+            max_width=max_width,
+        )
+    results = [
+        chain.assemble(topology, physical, outcome)
+        for (chain, _, physical, _), outcome in zip(jobs, outcomes)
+    ]
+    return results, lanes
 
 
 def predict(

@@ -1,13 +1,12 @@
-"""Batch analytical screening of many topologies on one architecture.
+"""Analytical screening of candidate topologies on one architecture.
 
 The optimizer's first stage (see :mod:`repro.optimize`) has to rank the full
 search space — potentially hundreds of candidate topologies — before any
-cycle-accurate simulation runs.  :func:`screen_topologies` evaluates each
+cycle-accurate simulation runs.  :func:`screen_topology` evaluates one
 candidate with the cheap models only: the physical model for area, power and
 per-link latencies, and the analytical performance model for zero-load
-latency and saturation throughput.  One :class:`~repro.physical.model.NoCPhysicalModel`
-is shared across the whole batch, and a :class:`~repro.workloads.trace.WorkloadTrace`
-can be supplied to additionally score every candidate under the application's
+latency and saturation throughput.  A :class:`~repro.workloads.trace.WorkloadTrace`
+can be supplied to additionally score the candidate under the application's
 own traffic matrix (via :func:`~repro.toolchain.analytical.pair_weights_from_trace`).
 
 The estimates deliberately mirror the fields the cycle-accurate
@@ -18,10 +17,9 @@ scores and simulation scores are directly comparable in search trajectories.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
-from repro.physical.model import NoCPhysicalModel
-from repro.physical.parameters import ArchitecturalParameters
+from repro.physical.model import NoCPhysicalModel, PhysicalModelResult
 from repro.simulator.routing_tables import RoutingTables, build_routing_tables
 from repro.toolchain.analytical import analytical_performance, pair_weights_from_trace
 from repro.topologies.base import Topology
@@ -71,7 +69,7 @@ def max_link_length(topology: Topology) -> int:
 
 def screen_topology(
     topology: Topology,
-    model: NoCPhysicalModel,
+    model: NoCPhysicalModel | PhysicalModelResult,
     traffic: str = "uniform",
     trace: "WorkloadTrace | None" = None,
     packet_size_flits: int = 4,
@@ -83,10 +81,12 @@ def screen_topology(
     The physical model supplies the per-link latency estimates that
     parameterise the analytical latency, exactly as in the full prediction
     toolchain — screening and simulation disagree only in how the performance
-    numbers are obtained, never in the physical inputs.  ``routing`` reuses
+    numbers are obtained, never in the physical inputs.  ``model`` is the
+    physical model to evaluate ``topology`` with, or the result of that
+    evaluation when the caller already has it; ``routing`` likewise reuses
     tables the caller already built (they are built here otherwise).
     """
-    physical = model.evaluate(topology)
+    physical = model.evaluate(topology) if isinstance(model, NoCPhysicalModel) else model
     routing = routing or build_routing_tables(topology)
     analytical = analytical_performance(
         topology,
@@ -123,52 +123,8 @@ def screen_topology(
     )
 
 
-def screen_topologies(
-    topologies: Iterable[Topology],
-    params: ArchitecturalParameters,
-    traffic: str = "uniform",
-    trace: "WorkloadTrace | None" = None,
-    packet_size_flits: int = 4,
-    router_pipeline_cycles: int = 2,
-) -> list[ScreeningEstimate]:
-    """Screen a batch of topologies, sharing one physical model.
-
-    Parameters
-    ----------
-    topologies:
-        The candidate topologies, all built for the same grid.
-    params:
-        Architectural parameters of the target chip (shared by the batch).
-    traffic:
-        Synthetic pattern for the generic performance estimate.
-    trace:
-        Optional workload trace; when given, every estimate additionally
-        carries the trace-weighted latency and saturation bound.
-    packet_size_flits, router_pipeline_cycles:
-        Analytical-model knobs, mirroring the simulator configuration.
-
-    Returns
-    -------
-    list[ScreeningEstimate]
-        One estimate per topology, in input order.
-    """
-    model = NoCPhysicalModel(params)
-    return [
-        screen_topology(
-            topology,
-            model,
-            traffic=traffic,
-            trace=trace,
-            packet_size_flits=packet_size_flits,
-            router_pipeline_cycles=router_pipeline_cycles,
-        )
-        for topology in topologies
-    ]
-
-
 __all__ = [
     "ScreeningEstimate",
     "max_link_length",
     "screen_topology",
-    "screen_topologies",
 ]

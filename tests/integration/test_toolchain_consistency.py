@@ -12,7 +12,7 @@ import pytest
 from repro.core.sparse_hamming import SparseHammingGraph
 from repro.simulator.routing_tables import build_routing_tables
 from repro.simulator.simulation import SimulationConfig
-from repro.simulator.sweep import find_saturation_throughput, measure_zero_load_latency
+from repro.simulator.sweep import find_saturation_throughput, run_load_sweep
 from repro.toolchain.analytical import analytical_performance
 from repro.topologies.mesh import MeshTopology
 from repro.topologies.ring import RingTopology
@@ -49,7 +49,7 @@ def measurements():
             packet_size_flits=SIM_CONFIG.packet_size_flits,
             router_pipeline_cycles=SIM_CONFIG.router_pipeline_cycles,
         )
-        zero_load = measure_zero_load_latency(topology, SIM_CONFIG, routing=routing)
+        ((_, zero_load),) = run_load_sweep(topology, [0.01], SIM_CONFIG, routing=routing)
         sweep = find_saturation_throughput(
             topology, SIM_CONFIG, routing=routing, coarse_steps=4, refine_steps=1
         )

@@ -11,10 +11,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.experiments import Campaign, ExperimentSpec, figure6_campaign
+from repro.experiments import Campaign, ExperimentRunner, ExperimentSpec, figure6_campaign
 from repro.experiments.cli import main as cli_main
-from repro.toolchain.predict import PredictionToolchain
-from repro.topologies.mesh import MeshTopology
 from repro.utils.validation import ValidationError
 
 SRC_DIR = Path(repro.__file__).resolve().parents[1]
@@ -178,36 +176,12 @@ class TestCampaign:
         assert shg.topology_kwargs["s_c"] == [2, 5]
 
     def test_deduplicated(self):
+        # Specs with one spec_id run once: the runner deduplicates them.
         spec = small_spec()
         campaign = Campaign(specs=[spec, small_spec(label="other")])
-        assert len(campaign.deduplicated()) == 1
-
-
-class TestRoutingTableCache:
-    def test_routing_built_once_per_topology_object(self, small_params, monkeypatch):
-        import importlib
-
-        # repro.toolchain re-exports the predict *function* under the module's
-        # name, so resolve the module through importlib.
-        predict_module = importlib.import_module("repro.toolchain.predict")
-
-        calls = []
-        real = predict_module.build_routing_tables
-
-        def counting(topology):
-            calls.append(topology)
-            return real(topology)
-
-        monkeypatch.setattr(predict_module, "build_routing_tables", counting)
-        toolchain = PredictionToolchain(small_params)
-        topology = MeshTopology(4, 4)
-        toolchain.predict(topology)
-        toolchain.predict(topology, traffic="tornado")
-        toolchain.predict(topology)
-        assert len(calls) == 1
-        # A different object (even of the same shape) is keyed separately.
-        toolchain.predict(MeshTopology(4, 4))
-        assert len(calls) == 2
+        assert len({spec.spec_id for spec in campaign}) == 1
+        results = ExperimentRunner().run(campaign)
+        assert results[0].prediction is results[1].prediction
 
 
 class TestCli:

@@ -9,13 +9,17 @@ from repro.arch.knc import KNC_SCENARIOS
 from repro.optimize import Candidate, Constraints, Objective, SearchSpace, SearchSpec
 from repro.physical.model import NoCPhysicalModel
 from repro.simulator.routing_tables import build_routing_tables
-from repro.toolchain import pair_weights_from_trace, screen_topologies
+from repro.toolchain import pair_weights_from_trace
 from repro.toolchain.screening import screen_topology
 from repro.toolchain.results import PredictionResult
 from repro.simulator.statistics import PhaseStats
 from repro.topologies.mesh import MeshTopology
 from repro.utils.validation import ValidationError
 from repro.workloads import make_workload_trace
+
+#: One physical model of scenario (a) on a 4x4 grid, shared by the
+#: screening tests.
+MODEL_4X4 = NoCPhysicalModel(KNC_SCENARIOS["a"].parameters().scaled(num_tiles=16))
 
 
 # --------------------------------------------------------------- search space
@@ -253,11 +257,9 @@ class TestConstraints:
         constraints = Constraints(
             max_area_overhead=0.10, max_power_w=1.0, max_link_length=2
         )
-        estimates = screen_topologies(
-            [MeshTopology(4, 4)], KNC_SCENARIOS["a"].parameters().scaled(num_tiles=16)
-        )
+        estimate = screen_topology(MeshTopology(4, 4), MODEL_4X4)
         # A mesh is cheap: only the (absurdly tight) power budget can trip.
-        reasons = constraints.violations(estimates[0])
+        reasons = constraints.violations(estimate)
         assert any("power" in reason for reason in reasons)
         assert not any("link length" in reason for reason in reasons)
 
@@ -294,21 +296,18 @@ class TestScreening:
         # Stencil traffic is pure nearest-neighbour: its trace-weighted
         # latency must undercut the all-pairs uniform estimate on a mesh.
         trace = make_workload_trace("stencil2d", 4, 4, iterations=2)
-        [estimate] = screen_topologies(
-            [MeshTopology(4, 4)], KNC_SCENARIOS["a"].parameters().scaled(num_tiles=16), trace=trace
-        )
+        estimate = screen_topology(MeshTopology(4, 4), MODEL_4X4, trace=trace)
         assert estimate.trace_latency_cycles is not None
         assert estimate.trace_latency_cycles < estimate.zero_load_latency_cycles
 
     def test_no_trace_means_no_trace_metrics(self):
-        [estimate] = screen_topologies(
-            [MeshTopology(4, 4)], KNC_SCENARIOS["a"].parameters().scaled(num_tiles=16)
-        )
+        estimate = screen_topology(MeshTopology(4, 4), MODEL_4X4)
         assert estimate.trace_latency_cycles is None
         assert estimate.trace_saturation_throughput is None
         assert estimate.max_link_length == 1
 
     def test_screening_builds_routing_tables_once_per_candidate(self, monkeypatch):
+        import repro.experiments.scheduler as scheduler
         import repro.optimize.search as search
         import repro.simulator.network as network
         import repro.toolchain.screening as screening
@@ -319,7 +318,7 @@ class TestScreening:
             built.append(topology.name)
             return build_routing_tables(topology)
 
-        for module in (search, screening, network):
+        for module in (scheduler, screening, network):
             monkeypatch.setattr(module, "build_routing_tables", counting_build)
         spec = SearchSpec(
             rows=4,
@@ -329,17 +328,26 @@ class TestScreening:
         )
         candidates = spec.build_space().enumerate_candidates()
         records = search._screen(
-            spec, candidates, spec.build_objective(), spec.build_constraints()
+            spec,
+            candidates,
+            spec.build_objective(),
+            spec.build_constraints(),
+            scheduler.SharedBuilds(),
         )
         assert all(record.verified for record in records)
         assert len(built) == len(candidates) == len(records)
 
     def test_screen_topology_reuses_given_routing_tables(self):
         topology = MeshTopology(4, 4)
-        model = NoCPhysicalModel(KNC_SCENARIOS["a"].parameters().scaled(num_tiles=16))
         assert screen_topology(
-            topology, model, routing=build_routing_tables(topology)
-        ) == screen_topology(topology, model)
+            topology, MODEL_4X4, routing=build_routing_tables(topology)
+        ) == screen_topology(topology, MODEL_4X4)
+
+    def test_screen_topology_accepts_a_computed_physical_result(self):
+        topology = MeshTopology(4, 4)
+        assert screen_topology(topology, MODEL_4X4.evaluate(topology)) == screen_topology(
+            topology, MODEL_4X4
+        )
 
 
 # ---------------------------------------------------------------- search spec

@@ -64,7 +64,11 @@ class TestFloorplan:
         floorplan = build_floorplan(topo, estimate_tile_geometry(small_params, topo))
         for tile in topo.tiles():
             for side in PortSide:
-                offsets = [p.offset_fraction for p in floorplan.ports_on_side(tile, side)]
+                offsets = [
+                    p.offset_fraction
+                    for (t, _), p in floorplan.ports.items()
+                    if t == tile and p.side == side
+                ]
                 assert len(offsets) == len(set(offsets))
                 assert all(0 < o < 1 for o in offsets)
 

@@ -19,16 +19,16 @@ def test_finished_units_persist_when_a_later_unit_crashes(tmp_path, monkeypatch)
 
     first, second = spec_for("mesh"), spec_for("torus")
     store = tmp_path / "results.sqlite"
-    original = PredictionToolchain.predict
+    original = PredictionToolchain.assemble
     calls = []
 
-    def crash_on_second_unit(self, topology, traffic=None):
+    def crash_on_second_unit(self, topology, physical, outcome):
         calls.append(topology.name)
         if len(calls) == 2:
             raise RuntimeError("second unit crashed")
-        return original(self, topology, traffic=traffic)
+        return original(self, topology, physical, outcome)
 
-    monkeypatch.setattr(PredictionToolchain, "predict", crash_on_second_unit)
+    monkeypatch.setattr(PredictionToolchain, "assemble", crash_on_second_unit)
     with pytest.raises(RuntimeError, match="second unit crashed"):
         ExperimentRunner(store=store).run([first, second])
     monkeypatch.undo()

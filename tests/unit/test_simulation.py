@@ -6,7 +6,6 @@ from repro.core.sparse_hamming import SparseHammingGraph
 from repro.simulator.simulation import SimulationConfig, Simulator
 from repro.simulator.sweep import (
     find_saturation_throughput,
-    measure_zero_load_latency,
     run_load_sweep,
 )
 from repro.topologies.mesh import MeshTopology
@@ -149,7 +148,7 @@ class TestSaturationBehaviour:
 
 class TestSweeps:
     def test_zero_load_latency_probe(self, fast_sim_config):
-        stats = measure_zero_load_latency(MeshTopology(4, 4), fast_sim_config)
+        ((_, stats),) = run_load_sweep(MeshTopology(4, 4), [0.01], fast_sim_config)
         assert stats.offered_load == pytest.approx(0.01)
         assert stats.average_packet_latency > 0
 

@@ -210,7 +210,14 @@ class TestRoutingTables:
     def test_average_minimal_hops_matches_graph_metric(self):
         topology = MeshTopology(4, 4)
         tables = build_routing_tables(topology)
-        assert tables.average_minimal_hops() == pytest.approx(
+        num = topology.num_tiles
+        average_minimal_hops = sum(
+            tables.hop_distance[src][dst]
+            for src in range(num)
+            for dst in range(num)
+            if src != dst
+        ) / (num * (num - 1))
+        assert average_minimal_hops == pytest.approx(
             topology.average_hop_count()
         )
 

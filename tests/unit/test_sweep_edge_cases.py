@@ -18,7 +18,6 @@ from repro.simulator.routing_tables import build_routing_tables
 from repro.simulator.simulation import SimulationConfig, Simulator
 from repro.simulator.sweep import (
     find_saturation_throughput,
-    measure_zero_load_latency,
     run_load_sweep,
 )
 from repro.topologies.mesh import MeshTopology
@@ -244,7 +243,7 @@ class TestNetworkSharing:
         )
         routing = build_routing_tables(topology)
         network = build_network(topology, config=config.network_config(), routing=routing)
-        stats = measure_zero_load_latency(topology, config, network=network)
+        ((_, stats),) = run_load_sweep(topology, [0.01], config, network=network)
         assert stats.average_packet_latency > 0
         points = run_load_sweep(topology, [0.02, 0.05], config=config, network=network)
         assert [rate for rate, _ in points] == [0.02, 0.05]
