@@ -8,23 +8,28 @@ clearly outperforms the mesh while remaining far cheaper than the flattened
 butterfly.
 """
 
-from repro.core.customization import CustomizationGoal, customize_sparse_hamming
 from repro.arch.knc import scenario
+from repro.experiments.spec import ExperimentSpec
+from repro.optimize.greedy import CustomizationGoal, customize_sparse_hamming
 from repro.topologies.registry import make_topology
 
-from conftest import scenario_toolchain
+from conftest import BENCH_SIM_OVERRIDES, performance_mode, scenario_toolchain
 
 
 def _run_customization():
     target = scenario("a")
     toolchain = scenario_toolchain(target)
-    result = customize_sparse_hamming(
+    base = ExperimentSpec(
+        topology="sparse_hamming",
         rows=target.rows,
         cols=target.cols,
-        predictor=toolchain,
-        goal=CustomizationGoal(max_area_overhead=0.40),
-        endpoints_per_tile=target.cores_per_tile,
-        max_iterations=12,
+        topology_kwargs={"endpoints_per_tile": target.cores_per_tile},
+        scenario=target.key,
+        performance_mode=performance_mode(),
+        sim=BENCH_SIM_OVERRIDES,
+    )
+    result = customize_sparse_hamming(
+        base, goal=CustomizationGoal(max_area_overhead=0.40), max_iterations=12
     )
     butterfly = toolchain.predict(
         make_topology("flattened_butterfly", target.rows, target.cols,

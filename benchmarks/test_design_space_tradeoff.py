@@ -9,19 +9,20 @@ are its end points and (ii) the frontier is monotone: spending more area never
 reduces the achievable saturation throughput.
 """
 
-from repro.analysis.design_space import sweep_sparse_hamming_configurations, trade_off_curve
+from repro.analysis.design_space import sweep_design_space, trade_off_curve
 from repro.arch.knc import scenario
 
-from conftest import scenario_toolchain
+from conftest import BENCH_SIM_OVERRIDES, performance_mode
 
 
 def _sweep():
     target = scenario("a")
-    toolchain = scenario_toolchain(target)
-    samples = sweep_sparse_hamming_configurations(
+    samples = sweep_design_space(
         target.rows,
         target.cols,
-        toolchain,
+        scenario=target.key,
+        sim=BENCH_SIM_OVERRIDES,
+        performance_mode=performance_mode(),
         endpoints_per_tile=target.cores_per_tile,
         max_configurations=24,
         seed=7,

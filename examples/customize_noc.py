@@ -4,7 +4,9 @@
 This example runs the paper's five-step customization strategy for one of the
 four KNC-like evaluation scenarios: starting from the mesh, skip links are
 added greedily as long as they improve throughput (then latency) and the NoC
-area overhead stays below 40%.
+area overhead stays below 40%.  The architecture is an experiment spec; each
+step of the search runs every candidate change as one batch of derived specs
+through the experiment runner.
 
 Run with:  python examples/customize_noc.py [scenario]      (default: a)
 """
@@ -15,7 +17,6 @@ from repro import (
     CustomizationGoal,
     ExperimentRunner,
     ExperimentSpec,
-    PredictionToolchain,
     customize_sparse_hamming,
 )
 from repro.arch import scenario
@@ -28,16 +29,17 @@ def main() -> None:
     print(f"paper's chosen configuration: S_R={sorted(target.paper_s_r)}, S_C={sorted(target.paper_s_c)}")
     print()
 
-    toolchain = PredictionToolchain(target.parameters())
-    goal = CustomizationGoal(max_area_overhead=0.40)
-    result = customize_sparse_hamming(
+    # The base spec names the architecture and evaluation; the search fills
+    # in S_R/S_C, starting from the mesh.
+    base = ExperimentSpec(
+        topology="sparse_hamming",
         rows=target.rows,
         cols=target.cols,
-        predictor=toolchain,
-        goal=goal,
-        endpoints_per_tile=target.cores_per_tile,
-        max_iterations=16,
+        scenario=key,
+        topology_kwargs={"endpoints_per_tile": target.cores_per_tile},
     )
+    goal = CustomizationGoal(max_area_overhead=0.40)
+    result = customize_sparse_hamming(base, goal=goal, max_iterations=16)
 
     print("customization trace (each line = one accepted change):")
     for step in result.steps:

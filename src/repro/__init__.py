@@ -2,8 +2,8 @@
 
 The library is organised as:
 
-* :mod:`repro.core` — the sparse Hamming graph topology, the design-principle
-  scoring and the customization strategy (the paper's contributions);
+* :mod:`repro.core` — the sparse Hamming graph topology and the
+  design-principle scoring (the paper's contributions);
 * :mod:`repro.topologies` — the established baseline topologies and graph
   analysis;
 * :mod:`repro.physical` — the area/power/link-latency model (approximate
@@ -24,19 +24,15 @@ The library is organised as:
 * :mod:`repro.experiments` — the declarative experiment API: serializable
   :class:`ExperimentSpec`, :class:`Campaign` grids, the memoizing (optionally
   process-parallel) :class:`ExperimentRunner`, and the ``repro`` CLI;
-* :mod:`repro.optimize` — the workload-driven topology search:
-  :class:`SearchSpec` (objective + constraints + search space) and
-  :func:`run_search` (analytical screening, then successive-halving
-  cycle-accurate evaluation);
+* :mod:`repro.optimize` — the paper's customization strategy
+  (:func:`customize_sparse_hamming`, a greedy walk from the mesh) and the
+  workload-driven topology search: :class:`SearchSpec` (objective +
+  constraints + search space) and :func:`run_search` (analytical screening,
+  then successive-halving cycle-accurate evaluation);
 * :mod:`repro.viz` — text rendering of topologies and floorplans.
 """
 
-from repro.core import (
-    CustomizationGoal,
-    CustomizationResult,
-    SparseHammingGraph,
-    customize_sparse_hamming,
-)
+from repro.core import SparseHammingGraph
 from repro.experiments import (
     Campaign,
     ExperimentResult,
@@ -46,7 +42,14 @@ from repro.experiments import (
     figure6_campaign,
     run_campaign,
 )
-from repro.optimize import SearchResult, SearchSpec, run_search
+from repro.optimize import (
+    CustomizationGoal,
+    CustomizationResult,
+    SearchResult,
+    SearchSpec,
+    customize_sparse_hamming,
+    run_search,
+)
 from repro.physical import ArchitecturalParameters, NoCPhysicalModel
 from repro.simulator import SimulationConfig, Simulator, available_engines
 from repro.toolchain import PredictionResult, PredictionToolchain, predict

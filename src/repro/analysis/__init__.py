@@ -23,7 +23,6 @@ from repro.analysis.design_space import (
     design_space_campaign,
     select_configurations,
     sweep_design_space,
-    sweep_sparse_hamming_configurations,
     trade_off_curve,
 )
 from repro.analysis.search import (
@@ -55,6 +54,5 @@ __all__ = [
     "design_space_campaign",
     "select_configurations",
     "sweep_design_space",
-    "sweep_sparse_hamming_configurations",
     "trade_off_curve",
 ]

@@ -6,18 +6,17 @@ butterfly.  This module sweeps (exhaustively for small grids, sampled for
 large ones) over configurations and records the cost/performance trade-off of
 each — the data behind the customization strategy and the ablation benchmarks.
 
-Two execution paths are provided: the legacy predictor-callable interface
-(:func:`sweep_sparse_hamming_configurations`) and the declarative
-experiment-API path (:func:`design_space_campaign` /
-:func:`sweep_design_space`), which routes every configuration through
-:class:`~repro.experiments.ExperimentRunner` and therefore inherits on-disk
-memoization and process-parallel execution for free.
+:func:`design_space_campaign` turns the selected configurations into
+:class:`~repro.experiments.ExperimentSpec` objects and
+:func:`sweep_design_space` runs them through
+:class:`~repro.experiments.ExperimentRunner`, so a sweep is memoized in the
+runner's store and can run process-parallel like any other campaign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.core.config_space import enumerate_configurations, random_configuration
 from repro.core.sparse_hamming import SparseHammingGraph
@@ -48,9 +47,6 @@ class DesignSpaceSample:
     def saturation_throughput(self) -> float:
         """Saturation throughput of this configuration."""
         return self.prediction.saturation_throughput
-
-
-Predictor = Callable[[SparseHammingGraph], PredictionResult]
 
 
 def select_configurations(
@@ -88,39 +84,6 @@ def select_configurations(
             seen.add(candidate)
             configurations.append(candidate)
     return configurations
-
-
-def sweep_sparse_hamming_configurations(
-    rows: int,
-    cols: int,
-    predictor: Predictor,
-    endpoints_per_tile: int = 1,
-    max_configurations: int | None = None,
-    seed: int = 0,
-) -> list[DesignSpaceSample]:
-    """Evaluate sparse-Hamming-graph configurations with ``predictor``.
-
-    If the configuration space is small enough (or ``max_configurations`` is
-    ``None``) it is enumerated exhaustively; otherwise ``max_configurations``
-    distinct configurations are sampled uniformly at random (always including
-    the mesh and the flattened butterfly endpoints of the design space).
-    """
-    configurations = select_configurations(rows, cols, max_configurations, seed)
-    samples: list[DesignSpaceSample] = []
-    for s_r, s_c in configurations:
-        topology = SparseHammingGraph(
-            rows, cols, s_r=s_r, s_c=s_c, endpoints_per_tile=endpoints_per_tile
-        )
-        prediction = predictor(topology)
-        samples.append(
-            DesignSpaceSample(
-                s_r=s_r,
-                s_c=s_c,
-                num_links=topology.num_links,
-                prediction=prediction,
-            )
-        )
-    return samples
 
 
 def trade_off_curve(samples: Iterable[DesignSpaceSample]) -> list[DesignSpaceSample]:
@@ -199,11 +162,12 @@ def sweep_design_space(
     parallel: int | None = None,
     **campaign_kwargs,
 ) -> list[DesignSpaceSample]:
-    """Design-space sweep routed through the experiment runner.
+    """Evaluate the configurations of :func:`design_space_campaign`.
 
-    Equivalent to :func:`sweep_sparse_hamming_configurations` but executed via
-    :class:`~repro.experiments.ExperimentRunner`, so results are memoized on
-    disk when the runner has a cache directory and can run process-parallel.
+    ``campaign_kwargs`` go to :func:`design_space_campaign`.  The campaign
+    runs through ``runner`` (a store-less one when omitted), so results are
+    memoized when the runner has a store and can run process-parallel.
+    Samples are in campaign order.
     """
     from repro.experiments.runner import ExperimentRunner
 

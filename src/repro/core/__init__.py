@@ -7,9 +7,11 @@ This package contains:
 * :mod:`repro.core.design_principles` — scoring of topologies against the four
   NoC topology design principles (Section II / Table I),
 * :mod:`repro.core.config_space` — enumeration and counting of the
-  ``2^(R+C-4)`` sparse-Hamming-graph configurations,
-* :mod:`repro.core.customization` — the five-step customization strategy of
-  Section V-a that tunes ``S_R``/``S_C`` to a design goal under an area budget.
+  ``2^(R+C-4)`` sparse-Hamming-graph configurations.
+
+The five-step customization strategy of Section V-a, which tunes
+``S_R``/``S_C`` to a design goal under an area budget, runs on experiment
+specs and lives in :mod:`repro.optimize.greedy`.
 """
 
 from repro.core.sparse_hamming import SparseHammingGraph, sparse_hamming_links
@@ -22,12 +24,6 @@ from repro.core.config_space import (
     enumerate_configurations,
     random_configuration,
 )
-from repro.core.customization import (
-    CustomizationGoal,
-    CustomizationResult,
-    CustomizationStep,
-    customize_sparse_hamming,
-)
 
 __all__ = [
     "SparseHammingGraph",
@@ -37,8 +33,4 @@ __all__ = [
     "configuration_count",
     "enumerate_configurations",
     "random_configuration",
-    "CustomizationGoal",
-    "CustomizationResult",
-    "CustomizationStep",
-    "customize_sparse_hamming",
 ]

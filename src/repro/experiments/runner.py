@@ -50,14 +50,6 @@ from repro.toolchain.results import PredictionResult
 from repro.utils.validation import ValidationError
 
 
-def _run_traced(
-    specs: Sequence[ExperimentSpec], builds: SharedBuilds
-) -> tuple[list[PredictionResult], int | None, list[str | None]]:
-    """:func:`run_unit` plus the ``trace_id`` of each spec's workload trace."""
-    trace_ids = [getattr(builds.trace(spec), "trace_id", None) for spec in specs]
-    return (*run_unit(specs, builds), trace_ids)
-
-
 def _unit_payload(spec_dicts: list[dict[str, Any]]) -> dict[str, Any]:
     """Process-pool worker: run one unit, return its serialized predictions.
 
@@ -66,7 +58,7 @@ def _unit_payload(spec_dicts: list[dict[str, Any]]) -> dict[str, Any]:
     networks gangs each one while still using every core.
     """
     specs = [ExperimentSpec.from_dict(spec_dict) for spec_dict in spec_dicts]
-    predictions, lanes, trace_ids = _run_traced(specs, SharedBuilds(specs))
+    predictions, lanes, trace_ids = run_unit(specs)
     return {
         "results": [prediction_to_dict(prediction) for prediction in predictions],
         "lanes": lanes,
@@ -480,7 +472,7 @@ class ExperimentRunner:
             builds = builds if builds is not None else SharedBuilds()
             builds.hold(unique.values())
             for unit in units:
-                finished(unit, *_run_traced(unit, builds))
+                finished(unit, *run_unit(unit, builds))
 
         for index, spec in pending:
             slots[index] = ExperimentResult(

@@ -255,13 +255,14 @@ def run_gang_detailed(
 
 def run_unit(
     specs: Sequence[ExperimentSpec], builds: SharedBuilds | None = None
-) -> tuple[list[PredictionResult], int | None]:
+) -> tuple[list[PredictionResult], int | None, list[str | None]]:
     """Run one execution unit: a gang fused through one kernel, or one spec.
 
-    Returns the predictions in ``specs`` order and the gang's lane count
-    (``None`` for a single spec).  ``builds`` shares artifacts with the
-    other units of an in-process run; each spec is released from it once
-    the unit has run.
+    Returns the predictions in ``specs`` order, the gang's lane count
+    (``None`` for a single spec) and the ``trace_id`` of the trace each
+    spec replayed (``None`` if synthetic), which the store records with the
+    result.  ``builds`` shares artifacts with the other units of an
+    in-process run; each spec is released from it once the unit has run.
     """
     builds = builds if builds is not None else SharedBuilds(specs)
     if len(specs) > 1:
@@ -269,9 +270,10 @@ def run_unit(
     else:
         batched = specs[0].build_simulation_config().batched
         predictions, lanes = _run(specs, builds, batched)[0], None
+    trace_ids = [getattr(builds.trace(spec), "trace_id", None) for spec in specs]
     for spec in specs:
         builds.release(spec)
-    return predictions, lanes
+    return predictions, lanes, trace_ids
 
 
 __all__ = [

@@ -18,13 +18,23 @@ budgets.  This package is that search loop, built on everything underneath:
   (:mod:`repro.toolchain.screening`), then successive-halving cycle-accurate
   evaluation of the survivors through
   :class:`~repro.experiments.runner.ExperimentRunner` (parallel, memoized by
-  ``spec_id``, deterministic given a seed).
+  ``spec_id``, deterministic given a seed);
+* :mod:`repro.optimize.greedy` — :func:`customize_sparse_hamming`, the
+  paper's own strategy (Section V-a): a greedy walk from the mesh that adds
+  skip distances to ``S_R``/``S_C`` until the area budget binds, each step
+  one runner call over specs derived from a base spec.
 
 The ``repro optimize`` CLI subcommand and
 ``examples/optimize_for_workload.py`` drive this package end to end;
 ``docs/OPTIMIZER.md`` documents the method.
 """
 
+from repro.optimize.greedy import (
+    CustomizationGoal,
+    CustomizationResult,
+    CustomizationStep,
+    customize_sparse_hamming,
+)
 from repro.optimize.objectives import (
     OBJECTIVE_METRICS,
     Constraints,
@@ -44,6 +54,9 @@ __all__ = [
     "OBJECTIVE_METRICS",
     "Candidate",
     "Constraints",
+    "CustomizationGoal",
+    "CustomizationResult",
+    "CustomizationStep",
     "Objective",
     "RungEntry",
     "RungRecord",
@@ -51,5 +64,6 @@ __all__ = [
     "SearchResult",
     "SearchSpace",
     "SearchSpec",
+    "customize_sparse_hamming",
     "run_search",
 ]

@@ -1,4 +1,4 @@
-"""Customization strategy for the sparse Hamming graph (Section V-a).
+"""The paper's customization strategy for the sparse Hamming graph (Section V-a).
 
 The paper's five-step strategy:
 
@@ -12,38 +12,30 @@ The paper's five-step strategy:
    and improve throughput);
 5. repeat from step 2 until the designer is satisfied.
 
-This module automates the loop as a greedy search: in every iteration each
-candidate change (adding one skip distance to ``S_R`` or ``S_C``) is
-evaluated with the prediction toolchain, and the change that best improves the
-objective while staying inside the area budget is applied.  The objective
-matches the paper's evaluation: maximise saturation throughput (priority 1),
-minimise zero-load latency (priority 2), never exceed the area-overhead budget
-(40% in the paper).
+:func:`customize_sparse_hamming` automates the loop as a greedy search: in
+every iteration each candidate change (adding one skip distance to ``S_R`` or
+``S_C``, or removing one) becomes an :class:`~repro.experiments.ExperimentSpec`
+derived from the caller's base spec, the whole step runs as one
+:meth:`~repro.experiments.runner.ExperimentRunner.run` call (memoized in the
+runner's store, on one :class:`~repro.experiments.scheduler.SharedBuilds`
+scope for the whole call), and the change that best improves the objective
+while staying inside the area budget is applied.  The objective matches the
+paper's evaluation: maximise saturation throughput (priority 1), minimise
+zero-load latency (priority 2), never exceed the area-overhead budget (40% in
+the paper).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
 
 from repro.core.config_space import candidate_col_skips, candidate_row_skips
 from repro.core.sparse_hamming import SparseHammingGraph
+from repro.experiments.runner import ExperimentRunner
+from repro.experiments.scheduler import SharedBuilds
+from repro.experiments.spec import ExperimentSpec
+from repro.toolchain.results import PredictionResult
 from repro.utils.validation import ValidationError, check_in_range, check_type
-
-
-class PredictionLike(Protocol):
-    """Minimal interface of a toolchain prediction used by the search.
-
-    :class:`repro.toolchain.results.PredictionResult` satisfies this protocol.
-    """
-
-    area_overhead: float
-    noc_power_w: float
-    zero_load_latency_cycles: float
-    saturation_throughput: float
-
-
-Predictor = Callable[[SparseHammingGraph], PredictionLike]
 
 
 @dataclass(frozen=True)
@@ -74,11 +66,11 @@ class CustomizationGoal:
     def __post_init__(self) -> None:
         check_in_range("max_area_overhead", self.max_area_overhead, 0.0, 1.0)
 
-    def is_feasible(self, prediction: PredictionLike) -> bool:
+    def is_feasible(self, prediction: PredictionResult) -> bool:
         """Return ``True`` if ``prediction`` respects the area budget."""
         return prediction.area_overhead <= self.max_area_overhead
 
-    def is_improvement(self, old: PredictionLike, new: PredictionLike) -> bool:
+    def is_improvement(self, old: PredictionResult, new: PredictionResult) -> bool:
         """Return ``True`` if ``new`` is better than ``old`` under the goal.
 
         Priority 1 is saturation throughput; if the throughput change is
@@ -91,7 +83,7 @@ class CustomizationGoal:
             return False
         return new.zero_load_latency_cycles < old.zero_load_latency_cycles
 
-    def score(self, prediction: PredictionLike) -> float:
+    def score(self, prediction: PredictionResult) -> float:
         """Scalarised objective used to rank candidate configurations."""
         return (
             self.throughput_weight * prediction.saturation_throughput
@@ -126,10 +118,15 @@ class CustomizationStep:
 
 @dataclass
 class CustomizationResult:
-    """Outcome of the customization search."""
+    """Outcome of the customization search.
 
+    ``spec`` is the final configuration's spec, ``topology`` the graph it
+    builds.
+    """
+
+    spec: ExperimentSpec
     topology: SparseHammingGraph
-    prediction: PredictionLike
+    prediction: PredictionResult
     steps: list[CustomizationStep] = field(default_factory=list)
     evaluations: int = 0
 
@@ -145,24 +142,22 @@ class CustomizationResult:
 
 
 def customize_sparse_hamming(
-    rows: int,
-    cols: int,
-    predictor: Predictor,
+    base: ExperimentSpec,
     goal: CustomizationGoal | None = None,
-    endpoints_per_tile: int = 1,
     max_iterations: int = 32,
     allow_removals: bool = True,
+    runner: ExperimentRunner | None = None,
 ) -> CustomizationResult:
     """Run the five-step customization loop of Section V-a.
 
     Parameters
     ----------
-    rows, cols:
-        Tile grid of the target architecture.
-    predictor:
-        Callable mapping a :class:`SparseHammingGraph` to a prediction with
-        ``area_overhead``, ``noc_power_w``, ``zero_load_latency_cycles`` and
-        ``saturation_throughput`` attributes (the prediction toolchain).
+    base:
+        A ``sparse_hamming`` spec naming everything but the configuration:
+        grid, scenario, architecture overrides, traffic, performance mode,
+        simulation overrides and, in ``topology_kwargs``, optionally
+        ``endpoints_per_tile``.  It must not set ``s_r``/``s_c``: the loop
+        always starts from the mesh.
     goal:
         Design goal; defaults to the paper's goal (max throughput, min
         latency, at most 40% area overhead).
@@ -171,59 +166,72 @@ def customize_sparse_hamming(
     allow_removals:
         Also consider removing previously added skip distances (lets the
         search back out of choices that became unattractive).
+    runner:
+        The :class:`ExperimentRunner` evaluating each step (memoized when it
+        has a store); a store-less runner when omitted.
 
     Returns
     -------
     CustomizationResult
-        Final topology, its prediction, and the per-iteration trace.
+        Final configuration, its prediction, and the per-iteration trace.
     """
+    check_type("base", base, ExperimentSpec)
+    if base.topology != "sparse_hamming":
+        raise ValidationError(
+            f"customization needs a 'sparse_hamming' base spec, got {base.topology!r}"
+        )
+    if "s_r" in base.topology_kwargs or "s_c" in base.topology_kwargs:
+        raise ValidationError(
+            "the base spec must not set s_r/s_c: customization starts from the mesh"
+        )
     check_type("max_iterations", max_iterations, int)
     if max_iterations < 1:
         raise ValidationError("max_iterations must be >= 1")
     if goal is None:
         goal = CustomizationGoal()
+    if runner is None:
+        runner = ExperimentRunner()
+    builds = SharedBuilds()
 
-    current = SparseHammingGraph(
-        rows, cols, s_r=(), s_c=(), endpoints_per_tile=endpoints_per_tile
-    )
-    current_prediction = predictor(current)
+    def evaluate(moves):
+        """``(spec, prediction)`` of every ``(S_R, S_C, action)`` move, in one run."""
+        specs = [
+            base.with_overrides(
+                topology_kwargs={**base.topology_kwargs, "s_r": sorted(row), "s_c": sorted(col)}
+            )
+            for row, col, _ in moves
+        ]
+        results = runner.run(specs, builds=builds)
+        return [(spec, result.prediction) for spec, result in zip(specs, results)]
+
+    s_r: frozenset[int] = frozenset()
+    s_c: frozenset[int] = frozenset()
+    ((current, current_prediction),) = evaluate([(s_r, s_c, "start (mesh)")])
     evaluations = 1
-    steps = [
-        _record_step(0, "start (mesh)", current, current_prediction),
-    ]
-    if not goal.is_feasible(current_prediction):
-        # Even the mesh violates the budget; the mesh is the cheapest
-        # configuration, so report it as the best achievable.
-        return CustomizationResult(
-            topology=current,
-            prediction=current_prediction,
-            steps=steps,
-            evaluations=evaluations,
-        )
-
-    for iteration in range(1, max_iterations + 1):
-        best_candidate: SparseHammingGraph | None = None
-        best_prediction: PredictionLike | None = None
-        best_action = ""
-        for candidate, action in _candidate_moves(current, allow_removals):
-            prediction = predictor(candidate)
-            evaluations += 1
-            if not goal.is_feasible(prediction):
-                continue
-            if not goal.is_improvement(current_prediction, prediction):
-                continue
-            if best_prediction is None or goal.score(prediction) > goal.score(best_prediction):
-                best_candidate = candidate
-                best_prediction = prediction
-                best_action = action
-        if best_candidate is None or best_prediction is None:
-            break
-        current = best_candidate
-        current_prediction = best_prediction
-        steps.append(_record_step(iteration, best_action, current, current_prediction))
+    steps = [_record_step(0, "start (mesh)", s_r, s_c, current_prediction)]
+    # If even the mesh violates the budget, it is still the cheapest
+    # configuration, so it is reported as the best achievable.
+    if goal.is_feasible(current_prediction):
+        for iteration in range(1, max_iterations + 1):
+            moves = _candidate_moves(base, s_r, s_c, allow_removals)
+            evaluated = evaluate(moves)
+            evaluations += len(moves)
+            best = None
+            for move, (spec, prediction) in zip(moves, evaluated):
+                if not goal.is_feasible(prediction):
+                    continue
+                if not goal.is_improvement(current_prediction, prediction):
+                    continue
+                if best is None or goal.score(prediction) > goal.score(best[2]):
+                    best = (move, spec, prediction)
+            if best is None:
+                break
+            (s_r, s_c, action), current, current_prediction = best
+            steps.append(_record_step(iteration, action, s_r, s_c, current_prediction))
 
     return CustomizationResult(
-        topology=current,
+        spec=current,
+        topology=current.build_topology(),
         prediction=current_prediction,
         steps=steps,
         evaluations=evaluations,
@@ -231,36 +239,48 @@ def customize_sparse_hamming(
 
 
 def _candidate_moves(
-    current: SparseHammingGraph, allow_removals: bool
-) -> list[tuple[SparseHammingGraph, str]]:
-    """Enumerate single-change neighbours of the current configuration."""
-    moves: list[tuple[SparseHammingGraph, str]] = []
-    for x in candidate_row_skips(current.cols):
-        if x not in current.s_r:
-            moves.append((current.add_row_skip(x), f"add {x} to S_R"))
+    base: ExperimentSpec,
+    s_r: frozenset[int],
+    s_c: frozenset[int],
+    allow_removals: bool,
+) -> list[tuple[frozenset[int], frozenset[int], str]]:
+    """Single-change neighbours ``(S_R, S_C, action)`` of a configuration."""
+    moves = []
+    for x in candidate_row_skips(base.cols):
+        if x not in s_r:
+            moves.append((s_r | {x}, s_c, f"add {x} to S_R"))
         elif allow_removals:
-            moves.append((current.remove_row_skip(x), f"remove {x} from S_R"))
-    for x in candidate_col_skips(current.rows):
-        if x not in current.s_c:
-            moves.append((current.add_col_skip(x), f"add {x} to S_C"))
+            moves.append((s_r - {x}, s_c, f"remove {x} from S_R"))
+    for x in candidate_col_skips(base.rows):
+        if x not in s_c:
+            moves.append((s_r, s_c | {x}, f"add {x} to S_C"))
         elif allow_removals:
-            moves.append((current.remove_col_skip(x), f"remove {x} from S_C"))
+            moves.append((s_r, s_c - {x}, f"remove {x} from S_C"))
     return moves
 
 
 def _record_step(
     iteration: int,
     action: str,
-    topology: SparseHammingGraph,
-    prediction: PredictionLike,
+    s_r: frozenset[int],
+    s_c: frozenset[int],
+    prediction: PredictionResult,
 ) -> CustomizationStep:
     return CustomizationStep(
         iteration=iteration,
         action=action,
-        s_r=topology.s_r,
-        s_c=topology.s_c,
+        s_r=s_r,
+        s_c=s_c,
         area_overhead=prediction.area_overhead,
         noc_power_w=prediction.noc_power_w,
         zero_load_latency_cycles=prediction.zero_load_latency_cycles,
         saturation_throughput=prediction.saturation_throughput,
     )
+
+
+__all__ = [
+    "CustomizationGoal",
+    "CustomizationResult",
+    "CustomizationStep",
+    "customize_sparse_hamming",
+]

@@ -24,6 +24,10 @@ sequence, so crash semantics are identical to the single-job path.  If the
 fused run raises, the batch falls back to per-spec execution under the same
 leases — one poison spec fails alone instead of taking its gang down with
 it — and the fallback is counted in :attr:`WorkerStats.fused_fallbacks`.
+Every attempt of a claim takes its artifacts from one
+:class:`~repro.experiments.scheduler.SharedBuilds` scope, so the per-spec
+reruns reuse what the failed fused attempt built, and each result is stored
+under the ``trace_id`` of the trace it replayed.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
-from repro.experiments.scheduler import run_unit
+from repro.experiments.scheduler import SharedBuilds, run_unit
 from repro.experiments.serialization import prediction_to_dict
 from repro.experiments.spec import ExperimentSpec
 from repro.service.queue import DEFAULT_LEASE_SECONDS, WorkQueue
@@ -136,31 +140,43 @@ def default_worker_id() -> str:
     return f"pid-{os.getpid()}"
 
 
+def _run_stored(
+    specs: Sequence[ExperimentSpec], builds: SharedBuilds
+) -> dict[str, tuple[dict, str | None]]:
+    """:func:`run_unit` on ``builds``: per spec, its payload and ``trace_id``."""
+    predictions, _, trace_ids = run_unit(specs, builds)
+    return {
+        spec.spec_id: (prediction_to_dict(prediction), trace_id)
+        for spec, prediction, trace_id in zip(specs, predictions, trace_ids)
+    }
+
+
 def _execute_specs(
     specs: Sequence[ExperimentSpec],
-) -> tuple[dict[str, dict], dict[str, str], Exception | None]:
-    """Run ``specs`` as one unit: per-spec payloads, errors, fused failure.
+) -> tuple[dict[str, tuple[dict, str | None]], dict[str, str], Exception | None]:
+    """Run ``specs`` as one unit: per-spec payload and ``trace_id``, errors,
+    fused failure.
 
     A multi-spec batch first runs as one fused :func:`run_unit` kernel; an
     exception there (including a single poison spec crashing the batch) is
     returned as the third value, and every spec reruns on its own so the
     failure is attributed to the one job that actually raises, not the
-    whole gang.
+    whole gang.  All attempts share one build scope: a spec is released
+    from it only once it has run, so the reruns reuse the artifacts the
+    fused attempt built.
     """
+    builds = SharedBuilds(specs)
     fused_error: Exception | None = None
     if len(specs) > 1:
         try:
-            predictions, _ = run_unit(specs)
+            return _run_stored(specs, builds), {}, None
         except Exception as error:  # noqa: BLE001 — isolate the poison spec below
             fused_error = error
-        else:
-            fused = zip(specs, predictions)
-            return {spec.spec_id: prediction_to_dict(p) for spec, p in fused}, {}, None
-    payloads: dict[str, dict] = {}
+    payloads: dict[str, tuple[dict, str | None]] = {}
     errors: dict[str, str] = {}
     for spec in specs:
         try:
-            payloads[spec.spec_id] = prediction_to_dict(spec.run())
+            payloads.update(_run_stored([spec], builds))
         except Exception as error:  # noqa: BLE001 — any failure is job data
             errors[spec.spec_id] = repr(error)
     return payloads, errors, fused_error
@@ -266,7 +282,8 @@ def run_worker(
                 stats.failed += 1
                 stats.errors.append((job.spec_id, errors[job.spec_id]))
                 continue
-            queue.store.put(spec, payloads[job.spec_id])
+            payload, trace_id = payloads[job.spec_id]
+            queue.store.put(spec, payload, trace_id=trace_id)
             if job.spec_id in beat.lost or not queue.complete(
                 job.spec_id, worker_id
             ):

@@ -172,10 +172,6 @@ class PredictionToolchain:
         )
         return result
 
-    def __call__(self, topology: Topology, traffic: str | None = None) -> PredictionResult:
-        """Alias for :meth:`predict` (lets the toolchain act as a plain predictor)."""
-        return self.predict(topology, traffic=traffic)
-
 
 def run_predictions(
     topology: Topology,

@@ -330,19 +330,3 @@ class Topology:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
-
-
-def grid_dimensions_for(num_tiles: int) -> tuple[int, int]:
-    """Choose an ``R x C`` grid for ``num_tiles`` tiles, as square as possible.
-
-    Prefers ``R <= C`` (wider than tall), which matches the aspect ratios used
-    in the paper's evaluation (64 tiles -> 8x8, 128 tiles -> 8x16).
-    """
-    check_type("num_tiles", num_tiles, int)
-    if num_tiles < 2:
-        raise ValidationError("num_tiles must be >= 2")
-    best_rows = 1
-    for rows in range(1, int(num_tiles**0.5) + 1):
-        if num_tiles % rows == 0:
-            best_rows = rows
-    return best_rows, num_tiles // best_rows

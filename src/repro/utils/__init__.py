@@ -7,7 +7,7 @@ from repro.utils.validation import (
     check_type,
     ValidationError,
 )
-from repro.utils.primes import is_prime, is_prime_power, prime_power_root, next_prime_power
+from repro.utils.primes import is_prime_power, prime_power_root, next_prime_power
 from repro.utils.geometry import Point, Rect, manhattan_distance
 from repro.utils.rng import make_rng
 
@@ -17,7 +17,6 @@ __all__ = [
     "check_in_range",
     "check_type",
     "ValidationError",
-    "is_prime",
     "is_prime_power",
     "prime_power_root",
     "next_prime_power",

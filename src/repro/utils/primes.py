@@ -2,34 +2,13 @@
 
 SlimNoC (one of the baseline topologies of the paper) is only constructible
 when the number of tiles ``N`` satisfies ``N = 2 * p**2`` for a prime power
-``p``.  These helpers provide the primality and prime-power tests needed for
-that applicability check and for the MMS-graph construction itself.
+``p``.  These helpers provide the prime-power tests needed for that
+applicability check and for the MMS-graph construction itself.
 """
 
 from __future__ import annotations
 
 from repro.utils.validation import ValidationError, check_type
-
-
-def is_prime(n: int) -> bool:
-    """Return ``True`` if ``n`` is a prime number.
-
-    Uses trial division, which is more than fast enough for the tile counts
-    that occur in NoC design (at most a few thousand).
-    """
-    check_type("n", n, int)
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def is_prime_power(n: int) -> bool:

@@ -5,9 +5,9 @@ import pytest
 
 from repro.analysis.pareto import best_within_area_budget, latency_rank
 from repro.arch.knc import scenario
-from repro.core.customization import CustomizationGoal, customize_sparse_hamming
 from repro.core.sparse_hamming import SparseHammingGraph
-from repro.physical.parameters import ArchitecturalParameters
+from repro.experiments.spec import ExperimentSpec
+from repro.optimize.greedy import CustomizationGoal, customize_sparse_hamming
 from repro.toolchain.predict import PredictionToolchain
 from repro.topologies.registry import applicable_topologies, make_topology
 
@@ -73,13 +73,16 @@ class TestScenarioAFigure6Claims:
 
 
 class TestCustomizationEndToEnd:
+    BASE = ExperimentSpec(
+        topology="sparse_hamming",
+        rows=6,
+        cols=6,
+        arch={"endpoint_area_ge": 20e6, "link_bandwidth_bits": 512, "name": "custom-6x6"},
+    )
+
     def test_customization_on_small_architecture(self):
-        params = ArchitecturalParameters(
-            num_tiles=36, endpoint_area_ge=20e6, link_bandwidth_bits=512, name="custom-6x6"
-        )
-        toolchain = PredictionToolchain(params)
         result = customize_sparse_hamming(
-            6, 6, toolchain, goal=CustomizationGoal(max_area_overhead=0.40), max_iterations=8
+            self.BASE, goal=CustomizationGoal(max_area_overhead=0.40), max_iterations=8
         )
         mesh_step = result.steps[0]
         assert result.prediction.area_overhead <= 0.40
@@ -87,13 +90,9 @@ class TestCustomizationEndToEnd:
         assert not result.topology.is_mesh()
 
     def test_customized_beats_mesh_and_stays_cheaper_than_butterfly(self):
-        params = ArchitecturalParameters(
-            num_tiles=36, endpoint_area_ge=20e6, link_bandwidth_bits=512, name="custom-6x6"
-        )
-        toolchain = PredictionToolchain(params)
-        result = customize_sparse_hamming(6, 6, toolchain, max_iterations=8)
-        butterfly = toolchain.predict(make_topology("flattened_butterfly", 6, 6))
-        mesh = toolchain.predict(make_topology("mesh", 6, 6))
+        result = customize_sparse_hamming(self.BASE, max_iterations=8)
+        butterfly = self.BASE.with_overrides(topology="flattened_butterfly").run()
+        mesh = self.BASE.with_overrides(topology="mesh").run()
         assert result.prediction.saturation_throughput > mesh.saturation_throughput
         assert result.prediction.area_overhead < butterfly.area_overhead
 

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.analysis.compliance import compliance_table, format_compliance_table
-from repro.analysis.design_space import sweep_sparse_hamming_configurations, trade_off_curve
+from repro.analysis.design_space import (
+    DesignSpaceSample,
+    design_space_campaign,
+    select_configurations,
+    trade_off_curve,
+)
 from repro.analysis.pareto import ParetoPoint, best_within_area_budget, latency_rank, pareto_front
 from repro.core.sparse_hamming import SparseHammingGraph
 from repro.physical.model import NoCPhysicalModel
@@ -110,39 +115,49 @@ class TestPareto:
 
 
 class TestDesignSpaceSweep:
-    def _fake_predictor(self, topology: SparseHammingGraph) -> PredictionResult:
-        links = topology.num_links
-        return _make_prediction(
-            topology.describe_configuration(),
+    @staticmethod
+    def _configurations(specs) -> set[tuple[frozenset[int], frozenset[int]]]:
+        return {
+            (frozenset(spec.topology_kwargs["s_r"]), frozenset(spec.topology_kwargs["s_c"]))
+            for spec in specs
+        }
+
+    @staticmethod
+    def _sample(s_r, s_c) -> DesignSpaceSample:
+        """A hand-built sample whose metrics grow with the link count."""
+        links = SparseHammingGraph(3, 4, s_r=s_r, s_c=s_c).num_links
+        prediction = _make_prediction(
+            "shg",
             area=links / 400.0,
             power=links * 0.01,
-            latency=30.0 - topology.num_links * 0.02,
+            latency=30.0 - links * 0.02,
             throughput=min(1.0, links / 300.0),
+        )
+        return DesignSpaceSample(
+            s_r=frozenset(s_r), s_c=frozenset(s_c), num_links=links, prediction=prediction
         )
 
     def test_exhaustive_sweep_small_grid(self):
-        samples = sweep_sparse_hamming_configurations(3, 4, self._fake_predictor)
-        assert len(samples) == 2 ** (3 + 4 - 4)
-        configurations = {(s.s_r, s.s_c) for s in samples}
+        specs = design_space_campaign(3, 4).specs
+        assert len(specs) == 2 ** (3 + 4 - 4)
+        configurations = self._configurations(specs)
+        assert len(configurations) == len(specs)
         assert (frozenset(), frozenset()) in configurations
 
     def test_sampled_sweep_includes_endpoints(self):
-        samples = sweep_sparse_hamming_configurations(
-            8, 8, self._fake_predictor, max_configurations=10, seed=3
-        )
-        assert len(samples) == 10
-        configurations = {(s.s_r, s.s_c) for s in samples}
+        specs = design_space_campaign(8, 8, max_configurations=10, seed=3).specs
+        assert len(specs) == 10
+        configurations = self._configurations(specs)
+        assert len(configurations) == 10
         assert (frozenset(), frozenset()) in configurations
         assert (frozenset(range(2, 8)), frozenset(range(2, 8))) in configurations
 
     def test_sweep_rejects_too_small_budget(self):
         with pytest.raises(ValidationError):
-            sweep_sparse_hamming_configurations(
-                8, 8, self._fake_predictor, max_configurations=1
-            )
+            design_space_campaign(8, 8, max_configurations=1)
 
     def test_trade_off_curve_is_monotone(self):
-        samples = sweep_sparse_hamming_configurations(3, 4, self._fake_predictor)
+        samples = [self._sample(s_r, s_c) for s_r, s_c in select_configurations(3, 4)]
         frontier = trade_off_curve(samples)
         assert frontier
         areas = [s.area_overhead for s in frontier]

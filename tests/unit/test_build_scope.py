@@ -26,7 +26,9 @@ from repro.experiments.spec import ExperimentSpec
 from repro.optimize import SearchSpec, run_search
 from repro.optimize import search as search_module
 from repro.physical.model import NoCPhysicalModel
+from repro.service.queue import WorkQueue
 from repro.service.store import ResultStore
+from repro.service.worker import run_worker
 
 FAST_SIM = {"warmup_cycles": 40, "measurement_cycles": 120, "drain_max_cycles": 400}
 DNN = {
@@ -172,6 +174,43 @@ def test_stored_trace_id_is_the_replayed_trace(calls, tmp_path):
     assert len(calls["trace"]) == 1
     (row,) = store.query(spec_id=spec.spec_id)
     assert row.trace_id == spec.build_workload_trace().trace_id
+
+
+def test_worker_generates_a_job_trace_once(calls, tmp_path):
+    spec = sim_spec(2, workload={"name": "onoff", "seed": 1, "params": {"duration": 64}})
+    queue = WorkQueue(tmp_path / "store.sqlite")
+    queue.enqueue(spec)
+    assert run_worker(queue, worker_id="w").computed == 1
+    # The worker stores the trace its unit replayed instead of regenerating it.
+    assert len(calls["trace"]) == 1
+    (row,) = queue.store.query(spec_id=spec.spec_id)
+    assert row.trace_id == spec.build_workload_trace().trace_id
+
+
+def test_worker_reruns_reuse_the_fused_attempts_builds(calls, tmp_path, monkeypatch):
+    import repro.service.worker as worker_module
+
+    run_unit = worker_module.run_unit
+
+    def build_then_fail(specs, builds):
+        if len(specs) > 1:
+            for spec in specs:
+                builds.physical(spec)
+                builds.routing(spec)
+            raise RuntimeError("fused kernel blew up")
+        return run_unit(specs, builds)
+
+    monkeypatch.setattr(worker_module, "run_unit", build_then_fail)
+    queue = WorkQueue(tmp_path / "store.sqlite")
+    specs = [sim_spec(seed, sim={"engine": "vec", "seed": seed, **FAST_SIM}) for seed in (1, 2)]
+    for spec in specs:
+        queue.enqueue(spec)
+    stats = run_worker(queue, worker_id="w", batch_size=2)
+    assert stats.fused_fallbacks == 1 and stats.computed == 2
+    # Both specs share one topology: the fused attempt built it, the reruns reused it.
+    assert len(calls["topology"]) == len(calls["physical"]) == len(calls["routing"]) == 1
+    for spec in specs:
+        assert queue.store.get(spec.spec_id).result == prediction_to_dict(spec.run())
 
 
 # ------------------------------------------------------- screening is bounded

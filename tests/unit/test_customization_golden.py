@@ -1,7 +1,7 @@
 """Golden trajectory of the customization loop (Section V-a).
 
 ``tests/fixtures/customization_golden.json`` pins, bit for bit, what
-:func:`~repro.core.customization.customize_sparse_hamming` does on the four
+:func:`~repro.optimize.greedy.customize_sparse_hamming` does on the four
 KNC scenarios ``a``-``d`` with the analytical model, the paper's 40% area
 budget and ``max_iterations=12``: every accepted step's action, ``S_R`` and
 ``S_C`` and its four metrics (as ``float.hex``), plus the number of
@@ -21,8 +21,8 @@ from pathlib import Path
 import pytest
 
 from repro.arch.knc import KNC_SCENARIOS
-from repro.core.customization import CustomizationGoal, customize_sparse_hamming
-from repro.toolchain.predict import PredictionToolchain
+from repro.experiments.spec import ExperimentSpec
+from repro.optimize.greedy import CustomizationGoal, customize_sparse_hamming
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "customization_golden.json"
 SCENARIOS = ("a", "b", "c", "d")
@@ -37,13 +37,15 @@ METRICS = (
 def compute_trajectory(key: str) -> dict:
     """The customization trajectory of KNC scenario ``key``."""
     target = KNC_SCENARIOS[key]
+    base = ExperimentSpec(
+        topology="sparse_hamming",
+        rows=target.rows,
+        cols=target.cols,
+        scenario=key,
+        topology_kwargs={"endpoints_per_tile": target.cores_per_tile},
+    )
     result = customize_sparse_hamming(
-        target.rows,
-        target.cols,
-        PredictionToolchain(target.parameters()),
-        goal=CustomizationGoal(max_area_overhead=0.40),
-        endpoints_per_tile=target.cores_per_tile,
-        max_iterations=12,
+        base, goal=CustomizationGoal(max_area_overhead=0.40), max_iterations=12
     )
     return {
         "evaluations": result.evaluations,

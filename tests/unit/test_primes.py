@@ -2,30 +2,8 @@
 
 import pytest
 
-from repro.utils.primes import is_prime, is_prime_power, next_prime_power, prime_power_root
+from repro.utils.primes import is_prime_power, next_prime_power, prime_power_root
 from repro.utils.validation import ValidationError
-
-
-class TestIsPrime:
-    def test_small_primes(self):
-        assert all(is_prime(p) for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29])
-
-    def test_small_composites(self):
-        assert not any(is_prime(n) for n in [1, 4, 6, 8, 9, 10, 12, 15, 21, 25, 49])
-
-    def test_zero_and_negative(self):
-        assert not is_prime(0)
-        assert not is_prime(-7)
-
-    def test_larger_prime(self):
-        assert is_prime(7919)
-
-    def test_larger_composite(self):
-        assert not is_prime(7917)
-
-    def test_rejects_non_int(self):
-        with pytest.raises(ValidationError):
-            is_prime(7.0)
 
 
 class TestPrimePowerRoot:

@@ -180,8 +180,12 @@ def test_concurrent_batch_workers_complete_each_job_once(tmp_path):
 def test_batch_worker_falls_back_per_spec_on_fused_failure(tmp_path, monkeypatch):
     import repro.service.worker as worker_module
 
-    def explode(specs):
-        raise RuntimeError("fused kernel blew up")
+    run_unit = worker_module.run_unit
+
+    def explode(specs, builds):
+        if len(specs) > 1:
+            raise RuntimeError("fused kernel blew up")
+        return run_unit(specs, builds)
 
     monkeypatch.setattr(worker_module, "run_unit", explode)
     queue = WorkQueue(tmp_path / "store.sqlite")

@@ -80,10 +80,6 @@ class TestPredictionToolchain:
         assert row["Topology"] == "2D Mesh"
         assert "Saturation Throughput [%]" in row
 
-    def test_toolchain_is_callable(self, small_toolchain):
-        result = small_toolchain(TorusTopology(4, 4))
-        assert result.topology_name == "2D Torus"
-
     def test_rejects_unknown_mode(self, small_params):
         with pytest.raises(ValidationError):
             PredictionToolchain(small_params, performance_mode="magic")

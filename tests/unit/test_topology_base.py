@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.topologies.base import Link, TileCoord, Topology, grid_dimensions_for
+from repro.topologies.base import Link, TileCoord, Topology
 from repro.utils.validation import ValidationError
 
 
@@ -188,18 +188,3 @@ class TestTopologyGraph:
 
     def test_repr_mentions_grid(self, square):
         assert "2x2" in repr(square)
-
-
-class TestGridDimensionsFor:
-    def test_perfect_square(self):
-        assert grid_dimensions_for(64) == (8, 8)
-
-    def test_rectangular(self):
-        assert grid_dimensions_for(128) == (8, 16)
-
-    def test_prime_count_degenerates_to_row(self):
-        assert grid_dimensions_for(13) == (1, 13)
-
-    def test_rejects_too_small(self):
-        with pytest.raises(ValidationError):
-            grid_dimensions_for(1)
