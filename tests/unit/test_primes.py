@@ -1,9 +1,6 @@
 """Unit tests for repro.utils.primes."""
 
-import pytest
-
 from repro.utils.primes import is_prime_power, next_prime_power, prime_power_root
-from repro.utils.validation import ValidationError
 
 
 class TestPrimePowerRoot:
