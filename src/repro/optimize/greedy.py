@@ -17,8 +17,7 @@ every iteration each candidate change (adding one skip distance to ``S_R`` or
 ``S_C``, or removing one) becomes an :class:`~repro.experiments.ExperimentSpec`
 derived from the caller's base spec, the whole step runs as one
 :meth:`~repro.experiments.runner.ExperimentRunner.run` call (memoized in the
-runner's store, on one :class:`~repro.experiments.scheduler.SharedBuilds`
-scope for the whole call), and the change that best improves the objective
+runner's store), and the change that best improves the objective
 while staying inside the area budget is applied.  The objective matches the
 paper's evaluation: maximise saturation throughput (priority 1), minimise
 zero-load latency (priority 2), never exceed the area-overhead budget (40% in
@@ -32,7 +31,6 @@ from dataclasses import dataclass, field
 from repro.core.config_space import candidate_col_skips, candidate_row_skips
 from repro.core.sparse_hamming import SparseHammingGraph
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.scheduler import SharedBuilds
 from repro.experiments.spec import ExperimentSpec
 from repro.toolchain.results import PredictionResult
 from repro.utils.validation import ValidationError, check_in_range, check_type
@@ -118,13 +116,8 @@ class CustomizationStep:
 
 @dataclass
 class CustomizationResult:
-    """Outcome of the customization search.
+    """Outcome of the customization search."""
 
-    ``spec`` is the final configuration's spec, ``topology`` the graph it
-    builds.
-    """
-
-    spec: ExperimentSpec
     topology: SparseHammingGraph
     prediction: PredictionResult
     steps: list[CustomizationStep] = field(default_factory=list)
@@ -191,22 +184,21 @@ def customize_sparse_hamming(
         goal = CustomizationGoal()
     if runner is None:
         runner = ExperimentRunner()
-    builds = SharedBuilds()
 
-    def evaluate(moves):
-        """``(spec, prediction)`` of every ``(S_R, S_C, action)`` move, in one run."""
-        specs = [
-            base.with_overrides(
-                topology_kwargs={**base.topology_kwargs, "s_r": sorted(row), "s_c": sorted(col)}
-            )
-            for row, col, _ in moves
-        ]
-        results = runner.run(specs, builds=builds)
-        return [(spec, result.prediction) for spec, result in zip(specs, results)]
+    def configure(row: frozenset[int], col: frozenset[int]) -> ExperimentSpec:
+        """``base`` with the configuration ``S_R = row``, ``S_C = col``."""
+        return base.with_overrides(
+            topology_kwargs={**base.topology_kwargs, "s_r": sorted(row), "s_c": sorted(col)}
+        )
+
+    def evaluate(configurations) -> list[PredictionResult]:
+        """The prediction of every ``(S_R, S_C)`` configuration, in one run."""
+        results = runner.run([configure(row, col) for row, col in configurations])
+        return [result.prediction for result in results]
 
     s_r: frozenset[int] = frozenset()
     s_c: frozenset[int] = frozenset()
-    ((current, current_prediction),) = evaluate([(s_r, s_c, "start (mesh)")])
+    (current_prediction,) = evaluate([(s_r, s_c)])
     evaluations = 1
     steps = [_record_step(0, "start (mesh)", s_r, s_c, current_prediction)]
     # If even the mesh violates the budget, it is still the cheapest
@@ -214,24 +206,23 @@ def customize_sparse_hamming(
     if goal.is_feasible(current_prediction):
         for iteration in range(1, max_iterations + 1):
             moves = _candidate_moves(base, s_r, s_c, allow_removals)
-            evaluated = evaluate(moves)
+            evaluated = evaluate((row, col) for row, col, _ in moves)
             evaluations += len(moves)
             best = None
-            for move, (spec, prediction) in zip(moves, evaluated):
+            for move, prediction in zip(moves, evaluated):
                 if not goal.is_feasible(prediction):
                     continue
                 if not goal.is_improvement(current_prediction, prediction):
                     continue
-                if best is None or goal.score(prediction) > goal.score(best[2]):
-                    best = (move, spec, prediction)
+                if best is None or goal.score(prediction) > goal.score(best[1]):
+                    best = (move, prediction)
             if best is None:
                 break
-            (s_r, s_c, action), current, current_prediction = best
+            (s_r, s_c, action), current_prediction = best
             steps.append(_record_step(iteration, action, s_r, s_c, current_prediction))
 
     return CustomizationResult(
-        spec=current,
-        topology=current.build_topology(),
+        topology=configure(s_r, s_c).build_topology(),
         prediction=current_prediction,
         steps=steps,
         evaluations=evaluations,

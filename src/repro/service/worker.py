@@ -161,14 +161,17 @@ def _execute_specs(
     exception there (including a single poison spec crashing the batch) is
     returned as the third value, and every spec reruns on its own so the
     failure is attributed to the one job that actually raises, not the
-    whole gang.  All attempts share one build scope: a spec is released
-    from it only once it has run, so the reruns reuse the artifacts the
-    fused attempt built.
+    whole gang.  All attempts share one build scope, and every attempt
+    holds its specs in it, so the reruns reuse the artifacts the fused
+    attempt built.  Holding a spec computes its build parameters, which can
+    raise for an out-of-range architecture override, so it happens inside
+    the same ``try`` as the run: such a spec fails as job data too.
     """
-    builds = SharedBuilds(specs)
+    builds = SharedBuilds()
     fused_error: Exception | None = None
     if len(specs) > 1:
         try:
+            builds.hold(specs)
             return _run_stored(specs, builds), {}, None
         except Exception as error:  # noqa: BLE001 — isolate the poison spec below
             fused_error = error
@@ -176,6 +179,7 @@ def _execute_specs(
     errors: dict[str, str] = {}
     for spec in specs:
         try:
+            builds.hold([spec])
             payloads.update(_run_stored([spec], builds))
         except Exception as error:  # noqa: BLE001 — any failure is job data
             errors[spec.spec_id] = repr(error)

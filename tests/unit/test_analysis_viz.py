@@ -7,10 +7,12 @@ from repro.analysis.design_space import (
     DesignSpaceSample,
     design_space_campaign,
     select_configurations,
+    sweep_design_space,
     trade_off_curve,
 )
 from repro.analysis.pareto import ParetoPoint, best_within_area_budget, latency_rank, pareto_front
 from repro.core.sparse_hamming import SparseHammingGraph
+from repro.experiments.runner import ExperimentResult, ResultSet
 from repro.physical.model import NoCPhysicalModel
 from repro.toolchain.results import PredictionResult
 from repro.topologies.mesh import MeshTopology
@@ -155,6 +157,29 @@ class TestDesignSpaceSweep:
     def test_sweep_rejects_too_small_budget(self):
         with pytest.raises(ValidationError):
             design_space_campaign(8, 8, max_configurations=1)
+
+    def test_sweep_turns_runner_results_into_samples(self):
+        class LinkCountRunner:
+            """Stand-in runner predicting from the link count of each spec."""
+
+            def run(self, experiments, parallel=None):
+                return ResultSet(
+                    ExperimentResult(spec, self.predict(spec)) for spec in experiments
+                )
+
+            @staticmethod
+            def predict(spec):
+                links = spec.build_topology().num_links
+                return _make_prediction("shg", links / 400.0, 1.0, 30.0, links / 300.0)
+
+        samples = sweep_design_space(3, 4, runner=LinkCountRunner())
+        specs = design_space_campaign(3, 4).specs
+        assert len(samples) == len(specs) == 8
+        for sample, spec in zip(samples, specs):
+            assert sample.s_r == frozenset(spec.topology_kwargs["s_r"])
+            assert sample.s_c == frozenset(spec.topology_kwargs["s_c"])
+            assert sample.num_links == spec.build_topology().num_links
+            assert sample.prediction.area_overhead == sample.num_links / 400.0
 
     def test_trade_off_curve_is_monotone(self):
         samples = [self._sample(s_r, s_c) for s_r, s_c in select_configurations(3, 4)]

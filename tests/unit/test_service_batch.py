@@ -20,7 +20,7 @@ from repro.experiments.spec import ExperimentSpec
 from repro.experiments.scheduler import gang_key_id
 from repro.service.queue import WorkQueue
 from repro.service.store import STORE_SCHEMA_VERSION, ResultStore
-from repro.service.worker import run_worker
+from repro.service.worker import _execute_specs, run_worker
 from repro.utils.validation import ValidationError
 
 #: Cycle counts small enough for unit tests; the worker tests below run
@@ -201,3 +201,28 @@ def test_batch_worker_falls_back_per_spec_on_fused_failure(tmp_path, monkeypatch
     assert "RuntimeError('fused kernel blew up')" in stream.getvalue()
     for spec in specs:
         assert queue.store.get(spec.spec_id) is not None
+
+
+def test_spec_that_fails_to_build_fails_alone(tmp_path):
+    # ExperimentSpec checks only the names of arch overrides; a zero link
+    # width first raises when the worker builds the spec's parameters.
+    poison = analytical_spec().with_overrides(arch={"link_bandwidth_bits": 0})
+    valid = analytical_spec()
+    queue = WorkQueue(tmp_path / "store.sqlite")
+    queue.enqueue(poison)
+    queue.enqueue(valid)
+    stats = run_worker(queue, worker_id="w")
+    assert stats.computed == 1 and stats.failed >= 1
+    assert {spec_id for spec_id, _ in stats.errors} == {poison.spec_id}
+    assert all("link_bandwidth_bits" in error for _, error in stats.errors)
+    assert queue.store.get(valid.spec_id) is not None
+    assert queue.store.get(poison.spec_id) is None
+
+
+def test_fused_attempt_isolates_a_spec_that_fails_to_build():
+    poison = sim_spec(1).with_overrides(arch={"link_bandwidth_bits": 0})
+    valid = sim_spec(2)
+    payloads, errors, fused_error = _execute_specs([poison, valid])
+    assert isinstance(fused_error, ValidationError)
+    assert list(payloads) == [valid.spec_id]
+    assert list(errors) == [poison.spec_id]
