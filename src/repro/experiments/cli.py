@@ -1146,8 +1146,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_work.add_argument(
         "--batch", type=int, default=1,
-        help="jobs leased per claim; >1 fuses gang-compatible jobs into one "
-        "batched vec kernel (results stay bit-identical)",
+        help="jobs leased per claim; >1 fuses jobs that name engine 'vec' "
+        "and share one network into one batched kernel (results stay "
+        "bit-identical); other jobs still run one by one",
     )
     p_work.add_argument(
         "--verbose", action="store_true", help="print one line per processed job"
@@ -1165,7 +1166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--batch", type=int, default=8,
         help="jobs each background worker leases per claim; >1 drains "
-        "gang-compatible miss storms as fused vec batches",
+        "misses that name engine 'vec' and share one network as fused "
+        "batches; other misses run one by one",
     )
     p_serve.add_argument(
         "--verbose", action="store_true", help="emit per-request access-log lines"

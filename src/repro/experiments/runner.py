@@ -381,8 +381,9 @@ class ExperimentRunner:
         analytical details (``physical`` is ``None``); the serial uncached
         path returns full :class:`PredictionResult` objects.
 
-        Specs that explicitly select ``sim={"engine": "vec"}`` and share a
-        compiled network (see :func:`~repro.experiments.scheduler.gang_key`)
+        Specs that name ``sim={"engine": "vec"}`` and share a compiled
+        network (see :func:`~repro.experiments.scheduler.gang_key`, which
+        is ``None`` unless the spec's simulation config is ``batched``)
         are *ganged*: their sweeps run fused in one lane-recycled batched
         kernel instead of one at a time, with bit-identical results and
         unchanged memoization keys/payloads.  In parallel mode the process
@@ -434,8 +435,8 @@ class ExperimentRunner:
             else None
         )
 
-        # Specs that opted into the vec engine and share a compiled network
-        # fuse into gangs; every other spec is a unit of its own.  Each
+        # Specs that name the vec engine and share a compiled network fuse
+        # into gangs; every other spec is a unit of its own.  Each
         # unit's results are persisted as soon as it finishes, so a crash
         # loses only the unit that was running.
         gangs = plan_gangs(unique.values())

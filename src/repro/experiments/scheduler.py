@@ -10,8 +10,10 @@ into one fused kernel:
    architecture overrides that determine the physical link latencies) and
    the same router-level
    :meth:`~repro.simulator.simulation.SimulationConfig.network_config`.
-   Analytical specs and specs pinned to the ``sanitizer`` engine (whose
-   per-cycle audits must actually run) never gang.
+   Only specs whose simulation config is
+   :attr:`~repro.simulator.simulation.SimulationConfig.batched` (they name
+   the ``vec`` engine) gang: a solo ``soa`` run beats a ``vec`` gang on
+   most work shapes (see ``docs/PERFORMANCE.md``).
 2. **Execution** — every unit takes its topology, routing tables, physical
    results and workload traces from a :class:`SharedBuilds` scope and goes
    through :func:`~repro.toolchain.predict.run_predictions`: each spec's
@@ -48,12 +50,6 @@ from repro.topologies.base import Topology
 from repro.utils.validation import ValidationError
 from repro.workloads.trace import WorkloadTrace
 
-#: Engines whose specs must never be fused: the gang executes every lane on
-#: the vec kernel, which would silently skip the sanitizer's runtime audits.
-#: ``reference``/``soa``/``vec`` specs fuse freely — engines are
-#: bit-identical, and the engine choice is excluded from spec identity.
-UNFUSABLE_ENGINES = frozenset({"sanitizer"})
-
 #: Default cap on the kernel's batch width.  Lanes beyond the cap queue as
 #: pending work and recycle into freed slots; the cap bounds the kernel's
 #: state arrays, not the amount of work a gang can execute.
@@ -65,13 +61,15 @@ def gang_key(spec: ExperimentSpec) -> tuple | None:
 
     Specs with equal gang keys can share one compiled network — and with it
     one fused kernel.  Returns ``None`` for analytical specs (no simulation
-    to fuse) and for specs pinned to an engine in :data:`UNFUSABLE_ENGINES`.
+    to fuse) and for specs whose simulation config is not
+    :attr:`~repro.simulator.simulation.SimulationConfig.batched`.
     """
     if spec.performance_mode != "simulation":
         return None
-    if spec.sim.get("engine") in UNFUSABLE_ENGINES:
+    config = spec.build_simulation_config()
+    if not config.batched:
         return None
-    return (topology_key(spec), spec.build_simulation_config().network_config())
+    return (topology_key(spec), config.network_config())
 
 
 def gang_key_id(spec: ExperimentSpec) -> str | None:
@@ -103,15 +101,14 @@ def gang_key_id(spec: ExperimentSpec) -> str | None:
 def plan_gangs(specs: Iterable[ExperimentSpec]) -> list[list[ExperimentSpec]]:
     """Group ``specs`` into gangs worth fusing (order-preserving).
 
-    Only specs that explicitly select ``sim["engine"] = "vec"`` (the
-    documented batched path) opt into ganging, and groups of one are
-    dropped: a width-1 "gang" loses to the solo sweep, whose coarse stage
-    already batches six lanes wide.
+    Specs with a :func:`gang_key` (batched ``vec`` simulations) group by
+    it, and groups of one are dropped: a width-1 "gang" loses to the solo
+    sweep, whose coarse stage already batches six lanes wide.
     """
     groups: dict[tuple, list[ExperimentSpec]] = {}
     for spec in specs:
         key = gang_key(spec)
-        if key is not None and spec.sim.get("engine") == "vec":
+        if key is not None:
             groups.setdefault(key, []).append(spec)
     return [members for members in groups.values() if len(members) > 1]
 
@@ -203,7 +200,6 @@ class SharedBuilds:
 def _run(
     specs: Sequence[ExperimentSpec],
     builds: SharedBuilds,
-    batched: bool,
     max_width: int | None = None,
 ) -> tuple[list[PredictionResult], int]:
     """Predict ``specs`` (one spec, or a gang) from the artifacts in ``builds``."""
@@ -212,7 +208,7 @@ def _run(
         for spec in specs
     ]
     return run_predictions(
-        builds.topology(specs[0]), builds.routing(specs[0]), jobs, batched, max_width
+        builds.topology(specs[0]), builds.routing(specs[0]), jobs, max_width
     )
 
 
@@ -241,8 +237,8 @@ def run_gang_detailed(
     key = gang_key(specs[0])
     if key is None:
         raise ValidationError(
-            "a gang needs simulation-mode specs (analytical and "
-            "sanitizer-engine specs cannot be fused)"
+            "a gang needs simulation-mode specs that name the batched 'vec' "
+            "engine (analytical and other-engine specs cannot be fused)"
         )
     if any(gang_key(spec) != key for spec in specs[1:]):
         raise ValidationError(
@@ -250,7 +246,7 @@ def run_gang_detailed(
             "group with plan_gangs() first"
         )
     builds = builds if builds is not None else SharedBuilds(specs)
-    return _run(specs, builds, batched=True, max_width=max_width)
+    return _run(specs, builds, max_width=max_width)
 
 
 def run_unit(
@@ -268,8 +264,7 @@ def run_unit(
     if len(specs) > 1:
         predictions, lanes = run_gang_detailed(specs, builds=builds)
     else:
-        batched = specs[0].build_simulation_config().batched
-        predictions, lanes = _run(specs, builds, batched)[0], None
+        predictions, lanes = _run(specs, builds)[0], None
     trace_ids = [getattr(builds.trace(spec), "trace_id", None) for spec in specs]
     for spec in specs:
         builds.release(spec)
@@ -278,7 +273,6 @@ def run_unit(
 
 __all__ = [
     "DEFAULT_MAX_WIDTH",
-    "UNFUSABLE_ENGINES",
     "SharedBuilds",
     "gang_key",
     "gang_key_id",

@@ -15,7 +15,8 @@ The paper's five-step strategy:
 :func:`customize_sparse_hamming` automates the loop as a greedy search: in
 every iteration each candidate change (adding one skip distance to ``S_R`` or
 ``S_C``, or removing one) becomes an :class:`~repro.experiments.ExperimentSpec`
-derived from the caller's base spec, the whole step runs as one
+derived from the caller's base spec, the step's configurations that no
+earlier step evaluated run as one
 :meth:`~repro.experiments.runner.ExperimentRunner.run` call (memoized in the
 runner's store), and the change that best improves the objective
 while staying inside the area budget is applied.  The objective matches the
@@ -160,8 +161,10 @@ def customize_sparse_hamming(
         Also consider removing previously added skip distances (lets the
         search back out of choices that became unattractive).
     runner:
-        The :class:`ExperimentRunner` evaluating each step (memoized when it
-        has a store); a store-less runner when omitted.
+        The :class:`ExperimentRunner` evaluating each step (memoized across
+        calls when it has a store); a store-less runner when omitted.  A
+        configuration a removal move returns to is never sent to it twice
+        in one call.
 
     Returns
     -------
@@ -191,10 +194,16 @@ def customize_sparse_hamming(
             topology_kwargs={**base.topology_kwargs, "s_r": sorted(row), "s_c": sorted(col)}
         )
 
+    seen: dict[str, PredictionResult] = {}
+
     def evaluate(configurations) -> list[PredictionResult]:
-        """The prediction of every ``(S_R, S_C)`` configuration, in one run."""
-        results = runner.run([configure(row, col) for row, col in configurations])
-        return [result.prediction for result in results]
+        """The prediction of every ``(S_R, S_C)``; one run computes the unseen."""
+        specs = [configure(row, col) for row, col in configurations]
+        unseen = [spec for spec in specs if spec.spec_id not in seen]
+        if unseen:
+            for result in runner.run(unseen):
+                seen[result.spec.spec_id] = result.prediction
+        return [seen[spec.spec_id] for spec in specs]
 
     s_r: frozenset[int] = frozenset()
     s_c: frozenset[int] = frozenset()

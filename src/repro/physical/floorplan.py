@@ -33,11 +33,6 @@ class PortSide(Enum):
     EAST = "E"
     WEST = "W"
 
-    @property
-    def is_horizontal(self) -> bool:
-        """``True`` for east/west faces (ports used by links travelling along a row)."""
-        return self in (PortSide.EAST, PortSide.WEST)
-
 
 @dataclass(frozen=True)
 class PortAssignment:

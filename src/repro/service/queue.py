@@ -11,8 +11,9 @@ same queue without duplicating work:
   workers can never claim the same job concurrently.
   :meth:`WorkQueue.claim_batch` extends this to gangs: up to ``batch_size``
   jobs sharing one ``gang_key`` (compiled-network compatibility, see
-  :func:`~repro.experiments.scheduler.gang_key_id`) lease together in one
-  transaction, so a batch worker can fuse them into a single vec kernel.
+  :func:`~repro.experiments.scheduler.gang_key_id`; only specs that name
+  the ``vec`` engine have one) lease together in one transaction, so a
+  batch worker can fuse them into a single vec kernel.
 * **Ownership is a lease, not a lock.** A claimed job carries
   ``(worker_id, lease_expires)``.  A worker that dies — SIGKILL, OOM, power
   loss — simply stops renewing its lease; once the lease expires the job
@@ -86,7 +87,7 @@ class Job:
     gang_key:
         Compiled-network compatibility hash
         (:func:`~repro.experiments.scheduler.gang_key_id`); ``None`` for
-        jobs that cannot fuse (analytical mode, sanitizer engine).
+        jobs that cannot fuse (analytical mode, any engine but ``vec``).
     """
 
     spec_id: str

@@ -16,9 +16,11 @@ result.
 
 With ``batch_size > 1`` (CLI ``repro work --batch N``) the worker leases up
 to N gang-compatible jobs per claim
-(:meth:`~repro.service.queue.WorkQueue.claim_batch`) and executes them as
-one fused vec kernel (:func:`~repro.experiments.scheduler.run_unit`, the
-unit function the campaign runner executes too); the heartbeat renews every
+(:meth:`~repro.service.queue.WorkQueue.claim_batch`) — specs that name the
+``vec`` engine and share one compiled network; every other job claims alone
+— and executes them as one fused vec kernel
+(:func:`~repro.experiments.scheduler.run_unit`, the unit function the
+campaign runner executes too); the heartbeat renews every
 lease of the batch, and each job still follows its own store-before-complete
 sequence, so crash semantics are identical to the single-job path.  If the
 fused run raises, the batch falls back to per-spec execution under the same
@@ -223,7 +225,8 @@ def run_worker(
         Emit one line per processed claim on ``stream`` (default stderr).
     batch_size:
         Lease up to this many gang-compatible jobs per claim and execute
-        them as one fused vec kernel.  ``1`` (the default) preserves the
+        them as one fused vec kernel; jobs that do not name ``vec`` claim
+        and run alone whatever the size.  ``1`` (the default) preserves the
         classic one-job-at-a-time loop; higher values change throughput
         only — every job's payload, store write, and completion are
         identical to the single-job path.

@@ -24,10 +24,12 @@ this package implements the required subset from scratch:
   vectorized numpy; see :mod:`repro.simulator.engine`), selected via
   ``SimulationConfig(engine=...)``,
 * one round loop (:func:`~repro.simulator.sweep.run_plans`) behind every
-  sweep, replay and batch: with ``engine="vec"`` it fuses many (seed,
-  load-point) runs of one compiled network into a single kernel invocation
-  (:func:`~repro.simulator.sweep.run_batch` exposes this for arbitrary
-  config batches).
+  sweep, replay and batch: when the configs name ``engine="vec"``
+  (:attr:`~repro.simulator.simulation.SimulationConfig.batched`, the one
+  batching rule) it fuses many (seed, load-point) runs of one compiled
+  network into a single kernel invocation, and otherwise runs them one by
+  one (:func:`~repro.simulator.sweep.run_batch` names ``vec`` for any
+  config batch).
 """
 
 from repro.simulator.engine import (

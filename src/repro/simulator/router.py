@@ -118,15 +118,6 @@ class Router:
         self._minimal_channel: list[int] = minimal[node]
         self._escape_channel: list[int] = escape[node]
 
-    # ----------------------------------------------------------- occupancy
-    def has_work(self) -> bool:
-        """``True`` if any input VC holds flits (the router needs stepping)."""
-        return self.buffered_count > 0
-
-    def buffered_flits(self) -> int:
-        """Total number of flits currently buffered in this router."""
-        return self.buffered_count
-
     # ------------------------------------------------------------ receiving
     def receive_flit(self, channel_id: int, vc: int, flit: Flit, cycle: int) -> None:
         """Accept a flit arriving on an input channel (or the injection port)."""

@@ -68,14 +68,6 @@ class RoutingTables:
     hop_distance: NodeTable
     tree_parent: list[int]
 
-    def minimal_next_hop(self, node: int, destination: int) -> int:
-        """Next hop of the minimal route from ``node`` towards ``destination``."""
-        return self.minimal[node][destination]
-
-    def escape_next_hop(self, node: int, destination: int) -> int:
-        """Next hop of the escape (spanning-tree) route from ``node``."""
-        return self.escape[node][destination]
-
     def path(self, source: int, destination: int, escape: bool = False) -> list[int]:
         """Full node path from ``source`` to ``destination`` (for tests/analysis)."""
         table = self.escape if escape else self.minimal

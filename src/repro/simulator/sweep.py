@@ -28,19 +28,19 @@ Every simulation is a *plan*: a generator that yields rounds (lists of
 :class:`SimulationConfig`), receives each round's statistics and returns its
 outcome — the saturation search (:func:`saturation_plan`) or a single run
 (:func:`single_plan`).  :func:`run_plans` is the only code that turns rounds
-into kernel runs.  Unbatched, it runs each config through
-``Simulator(...).run()``; batched, it fuses ready rounds into ``vec`` kernels
-(:func:`~repro.simulator.engine.vec.run_batched`) and re-arms a plan's next
-round into the running kernel.  :func:`find_saturation_throughput`,
+into kernel runs.  When the configs name an engine with a batch axis
+(:attr:`SimulationConfig.batched`, i.e. ``vec``), it fuses ready rounds into
+``vec`` kernels (:func:`~repro.simulator.engine.vec.run_batched`) and re-arms
+a plan's next round into the running kernel; otherwise it runs each config
+through ``Simulator(...).run()``.  :func:`find_saturation_throughput`,
 :func:`run_load_sweep`, :func:`replay_trace` and :func:`run_batch` are
-one-call wrappers over it, batched when the configured engine has a batch axis
-(:attr:`SimulationConfig.batched`); the gang scheduler
-(:mod:`repro.experiments.scheduler`) drives many specs' plans through it at
-once.  Batching never changes results: each lane is bit-identical to its solo
-run, and the batched coarse stage trims its results to exactly the points the
-sequential loop would have visited, so the returned ``points`` list — and with
-it every downstream consumer, including the experiment memoization cache
-shared across engines — is unchanged.
+one-call wrappers over it (:func:`run_batch` always names ``vec``); the gang
+scheduler (:mod:`repro.experiments.scheduler`) drives many ``vec`` specs'
+plans through it at once.  Batching never changes results: each lane is
+bit-identical to its solo run, and the batched coarse stage trims its results
+to exactly the points the sequential loop would have visited, so the returned
+``points`` list — and with it every downstream consumer, including the
+experiment memoization cache shared across engines — is unchanged.
 """
 
 from __future__ import annotations
@@ -118,14 +118,15 @@ def run_plans(
     topology: Topology,
     network: Network,
     plans: Sequence[Plan],
-    batched: bool,
     traces: "Sequence[WorkloadTrace | None] | None" = None,
     max_width: int | None = None,
 ) -> tuple[list[Any], int]:
     """Drive ``plans`` to completion on ``network``: ``(outcomes, lanes run)``.
 
     ``traces`` (parallel to ``plans``) names the workload trace every run of
-    a plan replays.  Unbatched, each plan runs to completion in turn, one
+    a plan replays.  The configs of the plans' first rounds decide how they
+    run.  Unless all of them are :attr:`~SimulationConfig.batched` (name
+    ``vec``), each plan runs to completion in turn, one
     ``Simulator(...).run()`` per config.  Batched, every ready lane starts
     one :func:`~repro.simulator.engine.vec.run_batched` kernel (at most
     ``max_width`` wide, the rest queued for recycled slots); a plan's next
@@ -153,9 +154,9 @@ def run_plans(
     def simulator(index: int, config: SimulationConfig) -> Simulator:
         return Simulator(topology, config, network=network, trace=traces[index])
 
-    if not batched:
-        for index in range(len(plans)):
-            configs = advance(index, None)
+    first_rounds = [advance(index, None) for index in range(len(plans))]
+    if not all(config.batched for configs in first_rounds for config in configs):
+        for index, configs in enumerate(first_rounds):
             while configs:
                 configs = advance(
                     index, [simulator(index, config).run() for config in configs]
@@ -171,7 +172,7 @@ def run_plans(
         round_stats[index] = [None] * len(configs)
         engines = []
         for position, config in enumerate(configs):
-            engine = simulator(index, replace(config, engine="vec")).engine
+            engine = simulator(index, config).engine
             lane_of[id(engine)] = (index, position)
             engines.append(engine)
         return engines
@@ -188,8 +189,8 @@ def run_plans(
         ready.extend(engines)
         return []
 
-    for index in range(len(plans)):
-        ready.extend(arm(index, advance(index, None)))
+    for index, configs in enumerate(first_rounds):
+        ready.extend(arm(index, configs))
     while ready:
         engines = ready[:]
         ready.clear()
@@ -225,8 +226,8 @@ def run_batch(
             f"for {len(configs)} configurations"
         )
     network = _shared_network(topology, configs[0], link_latencies, routing, network)
-    plans = [single_plan(config) for config in configs]
-    return run_plans(topology, network, plans, batched=True, traces=traces)[0]
+    plans = [single_plan(replace(config, engine="vec")) for config in configs]
+    return run_plans(topology, network, plans, traces=traces)[0]
 
 
 def _is_saturated(
@@ -249,7 +250,6 @@ def saturation_plan(
     coarse_steps: int = 6,
     refine_steps: int = 3,
     max_rate: float = 1.0,
-    batch_coarse: bool = False,
 ) -> Plan:
     """The saturation search as a plan (see :func:`run_plans`).
 
@@ -264,10 +264,10 @@ def saturation_plan(
     The emitted rounds and the resulting ``points`` list are identical
     either way.
 
-    With ``batch_coarse`` the whole coarse stage is emitted as one round
-    (a batched run fuses it into a single kernel); results past the first
-    saturated rate are trimmed exactly as the sequential walk would have
-    stopped, so downstream consumers see the same points.
+    When ``base`` is :attr:`~SimulationConfig.batched` the whole coarse
+    stage is emitted as one round (fused into a single kernel); results
+    past the first saturated rate are trimmed exactly as the sequential walk
+    would have stopped, so downstream consumers see the same points.
     """
     if coarse_steps < 2:
         raise ValidationError("coarse_steps must be >= 2")
@@ -299,11 +299,11 @@ def saturation_plan(
     # stops at the first saturated rate, so the ``points`` list (and
     # everything derived from it) matches the sequential loop exactly — the
     # lanes past the break are simply discarded.
-    coarse_stats = (yield coarse_configs) if batch_coarse else None
+    coarse_stats = (yield coarse_configs) if base.batched else None
     lo, hi = None, None
     last_good = probe_rate
     for index, rate in enumerate(coarse_rates):
-        if batch_coarse:
+        if base.batched:
             stats = coarse_stats[index]
         else:
             (stats,) = yield [coarse_configs[index]]
@@ -366,10 +366,9 @@ def find_saturation_throughput(
         coarse_steps=coarse_steps,
         refine_steps=refine_steps,
         max_rate=max_rate,
-        batch_coarse=base.batched,
     )
     network = _shared_network(topology, base, link_latencies, routing, network)
-    (sweep,), _ = run_plans(topology, network, [plan], base.batched)
+    (sweep,), _ = run_plans(topology, network, [plan])
     return sweep
 
 
@@ -421,9 +420,7 @@ def replay_trace(
         )
     base = config or SimulationConfig()
     network = _shared_network(topology, base, link_latencies, routing, network)
-    (stats,), _ = run_plans(
-        topology, network, [single_plan(base)], base.batched, traces=[trace]
-    )
+    (stats,), _ = run_plans(topology, network, [single_plan(base)], traces=[trace])
     return stats
 
 
@@ -438,11 +435,11 @@ def run_load_sweep(
     """Simulate a fixed list of injection rates (latency/throughput curves).
 
     With a batched engine (``vec``) all rates run as one fused kernel (same
-    per-point statistics, lower wall-clock); otherwise the points run
-    sequentially through the configured engine.
+    per-point statistics); otherwise the points run sequentially through the
+    configured engine.
     """
     base = config or SimulationConfig()
     network = _shared_network(topology, base, link_latencies, routing, network)
     plans = [single_plan(replace(base, injection_rate=rate)) for rate in rates]
-    outcomes, _ = run_plans(topology, network, plans, base.batched)
+    outcomes, _ = run_plans(topology, network, plans)
     return list(zip(rates, outcomes))

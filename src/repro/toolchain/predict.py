@@ -92,12 +92,11 @@ class PredictionToolchain:
                     "trace-driven workloads require performance_mode='simulation'"
                 )
 
-    def plan(self, traffic: str, batched: bool) -> Plan | None:
+    def plan(self, traffic: str) -> Plan | None:
         """The simulation plan of one prediction.
 
         ``None`` in analytical mode; one replay round for a trace-driven
-        workload; otherwise the saturation search under ``traffic``, with
-        its coarse stage in one round when the plan will run ``batched``.
+        workload; otherwise the saturation search under ``traffic``.
         """
         config = self.simulation_config
         if self.workload is not None:
@@ -106,7 +105,7 @@ class PredictionToolchain:
             return None
         if traffic != config.traffic:
             config = replace(config, traffic=traffic)
-        return saturation_plan(config, batch_coarse=batched)
+        return saturation_plan(config)
 
     def assemble(
         self, topology: Topology, physical: PhysicalModelResult, outcome: Any
@@ -165,10 +164,7 @@ class PredictionToolchain:
             )
         traffic = self.traffic if traffic is None else traffic
         (result,), _ = run_predictions(
-            topology,
-            routing,
-            [(self, traffic, physical, trace)],
-            self.simulation_config.batched,
+            topology, routing, [(self, traffic, physical, trace)]
         )
         return result
 
@@ -179,7 +175,6 @@ def run_predictions(
     jobs: Sequence[
         tuple[PredictionToolchain, str, PhysicalModelResult, WorkloadTrace | None]
     ],
-    batched: bool,
     max_width: int | None = None,
 ) -> tuple[list[PredictionResult], int]:
     """Plan, run and assemble ``jobs`` on ``topology``: ``(results, lanes run)``.
@@ -190,9 +185,11 @@ def run_predictions(
     one by one.  Simulated jobs run their plans through
     :func:`~repro.simulator.sweep.run_plans` on one network compiled from
     the first job's router configuration and link latencies, so they must
-    share both (one spec, or a gang).  Results are parallel to ``jobs``.
+    share both (one spec, or a gang); they run batched when their
+    simulation configs are (a ``vec`` spec or gang).  Results are parallel
+    to ``jobs``.
     """
-    plans = [chain.plan(traffic, batched) for chain, traffic, _, _ in jobs]
+    plans = [chain.plan(traffic) for chain, traffic, _, _ in jobs]
     if plans[0] is None:
         lanes = 0
         outcomes = [
@@ -221,7 +218,6 @@ def run_predictions(
             topology,
             network,
             plans,
-            batched,
             traces=[trace for _, _, _, trace in jobs],
             max_width=max_width,
         )

@@ -136,12 +136,21 @@ class TestCustomizeSparseHamming:
     def test_each_step_is_one_runner_call(self):
         runner = LinkCountRunner()
         result = customize_sparse_hamming(shg(6, 6), runner=runner, max_iterations=2)
-        # The mesh, then one call per iteration evaluating all 8 moves of a 6x6 grid.
-        mesh, *steps = runner.calls
-        assert len(mesh) == 1 and 1 <= len(steps) <= 2
-        assert all(len(specs) == 8 for specs in steps)
-        assert result.evaluations == sum(len(specs) for specs in runner.calls)
+        # The mesh, then one call per iteration with the 8 moves of a 6x6 grid;
+        # the second iteration's removal move returns to the mesh, which the
+        # first call already evaluated.
+        mesh, first, second = runner.calls
+        assert (len(mesh), len(first), len(second)) == (1, 8, 7)
+        assert result.evaluations == 1 + 8 + 8
         assert all(spec.topology == "sparse_hamming" for specs in runner.calls for spec in specs)
+
+    def test_no_configuration_reaches_the_runner_twice(self):
+        runner = LinkCountRunner()
+        result = customize_sparse_hamming(shg(8, 8), runner=runner, max_iterations=12)
+        spec_ids = [spec.spec_id for specs in runner.calls for spec in specs]
+        assert len(spec_ids) == len(set(spec_ids))
+        # Removal moves did revisit configurations: evaluations count moves.
+        assert result.evaluations > len(spec_ids)
 
     def test_endpoints_per_tile_propagated(self):
         base = shg(4, 4, topology_kwargs={"endpoints_per_tile": 2})
@@ -196,7 +205,8 @@ class TestCustomizationOnTheRunner:
         assert first_runner.results[0].num_cached == 0
         # Every step of the second run comes from the store: nothing is computed.
         assert all(results.num_cached == len(results) for results in second_runner.results)
-        assert second.evaluations == first.evaluations == sum(
-            len(results) for results in second_runner.results
-        )
+        assert second.evaluations == first.evaluations
+        assert [len(results) for results in second_runner.results] == [
+            len(results) for results in first_runner.results
+        ]
         assert second.steps == first.steps

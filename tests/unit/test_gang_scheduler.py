@@ -17,7 +17,6 @@ import pytest
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scheduler import (
     DEFAULT_MAX_WIDTH,
-    UNFUSABLE_ENGINES,
     gang_key,
     gang_key_id,
     plan_gangs,
@@ -64,8 +63,11 @@ def test_gang_key_groups_network_compatible_specs():
 
 def test_gang_key_excludes_unfusable_specs():
     assert gang_key(analytical_spec()) is None
-    assert "sanitizer" in UNFUSABLE_ENGINES
-    assert gang_key(sim_spec(1, engine="sanitizer")) is None
+    # Only the batched engine fuses: every other engine runs solo.
+    for engine in ("soa", "reference", "sanitizer"):
+        assert gang_key(sim_spec(1, engine=engine)) is None, engine
+    default = sim_spec(1).with_overrides(sim=dict(FAST_SIM, seed=1))
+    assert "engine" not in default.sim and gang_key(default) is None
 
 
 def test_gang_key_id_is_stable_and_none_for_unfusable():

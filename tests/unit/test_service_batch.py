@@ -34,6 +34,13 @@ def sim_spec(seed: int, topology: str = "mesh", engine: str = "vec") -> Experime
                           performance_mode="simulation", sim=sim, label=f"s{seed}")
 
 
+def default_spec(seed: int) -> ExperimentSpec:
+    """A simulation spec that names no engine, so it runs ``soa``."""
+    return ExperimentSpec(topology="mesh", rows=4, cols=4,
+                          performance_mode="simulation",
+                          sim={"seed": seed, **FAST_SIM}, label=f"d{seed}")
+
+
 def analytical_spec() -> ExperimentSpec:
     return ExperimentSpec(topology="mesh", rows=4, cols=4,
                           performance_mode="analytical")
@@ -149,6 +156,71 @@ def test_batch_worker_payloads_match_single_worker(tmp_path):
         want = single.store.get(spec.spec_id).result
         got = batched.store.get(spec.spec_id).result
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def _drain(queue: WorkQueue, batch_size: int, monkeypatch):
+    """Run one worker over ``queue``: its stats and the size of every claim."""
+    claims = []
+    claim_batch = queue.claim_batch
+
+    def recording(*args, **kwargs):
+        jobs = claim_batch(*args, **kwargs)
+        if jobs:
+            claims.append(len(jobs))
+        return jobs
+
+    monkeypatch.setattr(queue, "claim_batch", recording)
+    return run_worker(queue, worker_id=f"batch-{batch_size}", batch_size=batch_size), claims
+
+
+def _assert_same_payloads(specs, got: WorkQueue, want: WorkQueue) -> None:
+    for spec in specs:
+        assert json.dumps(got.store.get(spec.spec_id).result, sort_keys=True) == (
+            json.dumps(want.store.get(spec.spec_id).result, sort_keys=True)
+        ), spec.label
+
+
+def test_batch_worker_runs_default_engine_jobs_one_by_one(tmp_path, monkeypatch):
+    # Default-engine (soa) jobs have no gang key, so --batch never fuses them.
+    specs = [default_spec(seed) for seed in (1, 2, 3, 4)]
+    single = WorkQueue(tmp_path / "single.sqlite")
+    batched = WorkQueue(tmp_path / "batched.sqlite")
+    for spec in specs:
+        single.enqueue(spec)
+        batched.enqueue(spec)
+
+    run_worker(single, worker_id="one-by-one")
+    stats, claims = _drain(batched, 8, monkeypatch)
+    assert claims == [1, 1, 1, 1]
+    assert stats.computed == len(specs)
+    assert stats.failed == 0 and stats.fused_fallbacks == 0
+    _assert_same_payloads(specs, batched, single)
+
+
+def test_batch_worker_drains_rows_keyed_before_vec_only_gangs(tmp_path, monkeypatch):
+    # Queue rows written before gangs were limited to vec specs carry a gang
+    # key for default-engine jobs too: the key of their vec twin, since the
+    # engine is not part of the compiled network.
+    specs = [default_spec(seed) for seed in (1, 2, 3)]
+    single = WorkQueue(tmp_path / "single.sqlite")
+    legacy = WorkQueue(tmp_path / "legacy.sqlite")
+    for spec in specs:
+        single.enqueue(spec)
+        legacy.enqueue(spec)
+    old_key = gang_key_id(sim_spec(1))
+    conn = sqlite3.connect(tmp_path / "legacy.sqlite")
+    conn.execute("UPDATE jobs SET gang_key = ?", (old_key,))
+    conn.commit()
+    conn.close()
+
+    run_worker(single, worker_id="one-by-one")
+    stats, claims = _drain(legacy, 8, monkeypatch)
+    # The old keys still lease the jobs together; the fused attempt refuses
+    # the soa specs and every job runs on its own.
+    assert claims == [3]
+    assert stats.computed == len(specs) and stats.failed == 0
+    assert stats.fused_fallbacks == 1
+    _assert_same_payloads(specs, legacy, single)
 
 
 def test_concurrent_batch_workers_complete_each_job_once(tmp_path):
