@@ -35,7 +35,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "networkx"],
+    install_requires=["numpy"],
     entry_points={
         "console_scripts": [
             "repro=repro.experiments.cli:main",

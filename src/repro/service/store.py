@@ -56,8 +56,9 @@ from repro.utils.validation import ValidationError
 
 #: Version of the SQLite layout (tables/columns/indexes) itself.
 #: v2 added ``jobs.gang_key`` (compiled-network compatibility hash used by
-#: the batch-claiming gang worker); v1 stores are migrated in place on open.
-STORE_SCHEMA_VERSION = 2
+#: the batch-claiming gang worker); v3 re-keys jobs queued before only
+#: ``vec`` specs gang.  Older stores are migrated in place on open.
+STORE_SCHEMA_VERSION = 3
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -290,11 +291,15 @@ class ResultStore:
                     "upgrade repro instead of rewriting the store"
                 )
             elif int(row["value"]) < STORE_SCHEMA_VERSION:
-                self._migrate_to_v2(conn)
+                self._rekey_jobs(conn)
 
     @staticmethod
-    def _migrate_to_v2(conn: sqlite3.Connection) -> None:
-        """Backfill ``jobs.gang_key`` for a v1 store (column added above)."""
+    def _rekey_jobs(conn: sqlite3.Connection) -> None:
+        """Recompute every ``jobs.gang_key`` of an older store from its spec.
+
+        A v1 store has just gained the column; a v2 store may hold keys from
+        before gangs were limited to ``vec`` specs.
+        """
         rows = conn.execute("SELECT spec_id, spec_json FROM jobs").fetchall()
         for row in rows:
             try:

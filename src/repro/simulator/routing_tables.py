@@ -84,72 +84,6 @@ class RoutingTables:
         return path
 
 
-#: Tie-break key of a neighbour that is not one hop closer (never chosen).
-_NO_KEY = np.iinfo(np.int64).max
-
-
-def _neighbor_array(topology: Topology) -> np.ndarray:
-    """``(N + 1) x degree`` neighbour indices padded with the dummy node ``N``.
-
-    Row ``N`` belongs to the dummy node itself, so a padded slot can be
-    followed like any other without going out of bounds.
-    """
-    num = topology.num_tiles
-    neighbors = [topology.neighbors(node) for node in range(num)]
-    padded = np.full((num + 1, max(map(len, neighbors))), num, dtype=np.int64)
-    for node, row in enumerate(neighbors):
-        padded[node, : len(row)] = row
-    return padded
-
-
-def _minimal_tables(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
-    """Hop-minimal next-hop tables with physical-length tie-breaking.
-
-    Breadth-first search runs from all destinations at once, one hop level at
-    a time, over the ``N x N`` entries ``(node, destination)``.  When a level
-    is reached, a dynamic program picks each of its entries' next hop among
-    the neighbours one level closer: the one with the physically shortest
-    overall continuation, then the lowest neighbour index.  Lengths are
-    integers, so the single key ``(continuation + length) * N + neighbour``
-    orders candidates exactly like the tuple ``(continuation + length,
-    neighbour)``.  Returns ``(minimal, hop_distance)`` as ``N x N`` arrays; the
-    diagonal of ``minimal`` holds the node itself.
-    """
-    num = topology.num_tiles
-    neighbors = _neighbor_array(topology)
-    rows = np.append(topology.tile_rows, 0)
-    cols = np.append(topology.tile_cols, 0)
-    length = np.abs(rows[:, None] - rows[neighbors]) + np.abs(cols[:, None] - cols[neighbors])
-
-    # dist[node, destination]: -1 while unreached; the dummy row is -2 so it
-    # is never reached and never one level closer than a real node.
-    dist = np.full((num + 1, num), -1, dtype=np.int64)
-    dist[num] = -2
-    best_phys = np.zeros((num + 1, num), dtype=np.int64)
-    minimal = np.empty((num, num), dtype=np.int64)
-    diagonal = np.arange(num)
-    dist[diagonal, diagonal] = 0
-    minimal[diagonal, diagonal] = diagonal
-    nodes, destinations = diagonal, diagonal
-    level = 0
-    while nodes.size:
-        if level:
-            best = np.full(nodes.size, _NO_KEY, dtype=np.int64)
-            for slot in range(neighbors.shape[1]):
-                neighbor = neighbors[nodes, slot]
-                key = (best_phys[neighbor, destinations] + length[nodes, slot]) * num + neighbor
-                key[dist[neighbor, destinations] != level - 1] = _NO_KEY
-                np.minimum(best, key, out=best)
-            best_phys[nodes, destinations], minimal[nodes, destinations] = np.divmod(best, num)
-        for slot in range(neighbors.shape[1]):
-            neighbor = neighbors[nodes, slot]
-            fresh = dist[neighbor, destinations] == -1
-            dist[neighbor[fresh], destinations[fresh]] = level + 1
-        level += 1
-        nodes, destinations = np.nonzero(dist == level)
-    return minimal, dist[:num]
-
-
 def _spanning_tree(topology: Topology, root: int = 0) -> list[int]:
     """BFS spanning tree: ``parent[node]`` (-1 for the root)."""
     parent = [-2] * topology.num_tiles
@@ -195,13 +129,18 @@ def _escape_tables(parent: list[int]) -> np.ndarray:
 
 
 def build_routing_tables(topology: Topology) -> RoutingTables:
-    """Build minimal and escape routing tables for ``topology``."""
+    """Build minimal and escape routing tables for ``topology``.
+
+    The minimal tables are :attr:`Topology.hop_minimal_paths
+    <repro.topologies.base.Topology.hop_minimal_paths>`, the pass that also
+    answers the topology's graph queries.
+    """
     topology.validate_connected()
-    minimal, hop_distance = _minimal_tables(topology)
+    paths = topology.hop_minimal_paths
     parent = _spanning_tree(topology, root=0)
     return RoutingTables(
-        minimal=minimal.tolist(),
+        minimal=paths.next_hop.tolist(),
         escape=_escape_tables(parent).tolist(),
-        hop_distance=hop_distance.tolist(),
+        hop_distance=paths.hop_distance.tolist(),
         tree_parent=parent,
     )

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-import networkx as nx
 import numpy as np
 
 from repro.utils.validation import ValidationError, check_type
@@ -65,6 +64,34 @@ class Link:
         if tile == self.dst:
             return self.src
         raise ValidationError(f"tile {tile} is not an endpoint of {self}")
+
+
+class HopMinimalPaths(NamedTuple):
+    """All-pairs hop-minimal routing of a topology, as read-only ``N x N`` arrays.
+
+    Entry ``[node, destination]`` of each array describes the hop-minimal
+    paths from ``node`` to ``destination``; an unreachable pair holds -1 in
+    all three.
+
+    Attributes
+    ----------
+    next_hop:
+        Next hop of a hop-minimal path: among the neighbours one hop closer,
+        the one whose continuation is physically shortest, then the lowest
+        index.  The diagonal holds the node itself.
+    hop_distance:
+        Minimal number of router-to-router hops.
+    hop_minimal_length:
+        Shortest physical length, in tile pitches, over all hop-minimal paths.
+    """
+
+    next_hop: np.ndarray
+    hop_distance: np.ndarray
+    hop_minimal_length: np.ndarray
+
+
+#: Tie-break key of a neighbour that is not one hop closer (never chosen).
+_NO_KEY = np.iinfo(np.int64).max
 
 
 class Topology:
@@ -214,27 +241,38 @@ class Topology:
 
     # ------------------------------------------------------------------ graph
     @cached_property
-    def graph(self) -> nx.Graph:
-        """Undirected :class:`networkx.Graph` over tile indices.
+    def degrees(self) -> np.ndarray:
+        """Number of router-to-router links at every tile (read-only array)."""
+        return _read_only(np.bincount(self.link_ends.ravel(), minlength=self.num_tiles))
 
-        The graph always contains every tile as a node, even isolated ones
-        (which indicate a mis-constructed topology and are rejected by
-        :meth:`validate_connected`).
+    @cached_property
+    def neighbor_array(self) -> np.ndarray:
+        """``(N + 1, max degree)`` read-only neighbour indices, padded with ``N``.
+
+        Row ``t`` lists the neighbours of tile ``t`` in ascending order, then
+        the dummy node ``N``; row ``N`` belongs to the dummy node itself, so a
+        padded slot can be followed like any other without going out of bounds.
         """
-        g = nx.Graph()
-        g.add_nodes_from(range(self.num_tiles))
-        g.add_edges_from((link.src, link.dst) for link in self._links)
-        return g
+        num = self.num_tiles
+        ends = self.link_ends
+        tiles = np.concatenate([ends[:, 0], ends[:, 1]])
+        others = np.concatenate([ends[:, 1], ends[:, 0]])
+        order = np.lexsort((others, tiles))
+        tiles, others = tiles[order], others[order]
+        first = np.cumsum(self.degrees) - self.degrees
+        padded = np.full((num + 1, int(self.degrees.max(initial=0))), num, dtype=np.int64)
+        padded[tiles, np.arange(tiles.size) - first[tiles]] = others
+        return _read_only(padded)
 
     def neighbors(self, tile: int) -> list[int]:
         """Return the tiles directly connected to ``tile``, sorted."""
         self._check_tile_index(tile)
-        return sorted(self.graph.neighbors(tile))
+        return self.neighbor_array[tile, : self.degrees[tile]].tolist()
 
     def degree(self, tile: int) -> int:
         """Number of router-to-router links attached to ``tile``."""
         self._check_tile_index(tile)
-        return self.graph.degree[tile]
+        return int(self.degrees[tile])
 
     def has_link(self, a: int, b: int) -> bool:
         """Return ``True`` if an undirected link between tiles ``a`` and ``b`` exists."""
@@ -244,9 +282,59 @@ class Topology:
             return False
         return Link.canonical(a, b) in self.link_index
 
+    @cached_property
+    def hop_minimal_paths(self) -> HopMinimalPaths:
+        """Hop-minimal next hops, hop distances and physical lengths of all pairs.
+
+        Breadth-first search runs from all destinations at once, one hop level
+        at a time, over the ``N x N`` entries ``(node, destination)``.  When a
+        level is reached, a dynamic program picks each of its entries' next hop
+        among the neighbours one level closer: the one with the physically
+        shortest overall continuation, then the lowest neighbour index.
+        Lengths are integers, so the single key ``(continuation + length) * N +
+        neighbour`` orders candidates exactly like the tuple ``(continuation +
+        length, neighbour)``.
+        """
+        num = self.num_tiles
+        neighbors = self.neighbor_array
+        rows = np.append(self.tile_rows, 0)
+        cols = np.append(self.tile_cols, 0)
+        length = np.abs(rows[:, None] - rows[neighbors]) + np.abs(cols[:, None] - cols[neighbors])
+
+        # dist[node, destination]: -1 while unreached; the dummy row is -2 so
+        # it is never reached and never one level closer than a real node.
+        dist = np.full((num + 1, num), -1, dtype=np.int64)
+        dist[num] = -2
+        best_phys = np.full((num + 1, num), -1, dtype=np.int64)
+        next_hop = np.full((num, num), -1, dtype=np.int64)
+        diagonal = np.arange(num)
+        dist[diagonal, diagonal] = 0
+        best_phys[diagonal, diagonal] = 0
+        next_hop[diagonal, diagonal] = diagonal
+        nodes, destinations = diagonal, diagonal
+        level = 0
+        while nodes.size:
+            if level:
+                best = np.full(nodes.size, _NO_KEY, dtype=np.int64)
+                for slot in range(neighbors.shape[1]):
+                    neighbor = neighbors[nodes, slot]
+                    key = (best_phys[neighbor, destinations] + length[nodes, slot]) * num + neighbor
+                    key[dist[neighbor, destinations] != level - 1] = _NO_KEY
+                    np.minimum(best, key, out=best)
+                best_phys[nodes, destinations], next_hop[nodes, destinations] = np.divmod(best, num)
+            for slot in range(neighbors.shape[1]):
+                neighbor = neighbors[nodes, slot]
+                fresh = dist[neighbor, destinations] == -1
+                dist[neighbor[fresh], destinations[fresh]] = level + 1
+            level += 1
+            nodes, destinations = np.nonzero(dist == level)
+        return HopMinimalPaths(
+            _read_only(next_hop), _read_only(dist[:num]), _read_only(best_phys[:num])
+        )
+
     def is_connected(self) -> bool:
         """Return ``True`` if every tile can reach every other tile."""
-        return nx.is_connected(self.graph)
+        return bool((self.hop_minimal_paths.hop_distance >= 0).all())
 
     def validate_connected(self) -> None:
         """Raise :class:`ValidationError` if the topology is not connected."""
@@ -256,7 +344,7 @@ class Topology:
     # ------------------------------------------------------------ properties
     def max_degree(self) -> int:
         """Maximum number of router-to-router links at any tile."""
-        return max(dict(self.graph.degree).values())
+        return int(self.degrees.max())
 
     def router_radix(self, tile: int | None = None) -> int:
         """Router radix: router-to-router links plus local endpoint ports.
@@ -271,12 +359,14 @@ class Topology:
     def diameter(self) -> int:
         """Network diameter: maximum shortest-path hop count between tiles."""
         self.validate_connected()
-        return nx.diameter(self.graph)
+        return int(self.hop_minimal_paths.hop_distance.max())
 
     def average_hop_count(self) -> float:
         """Average shortest-path hop count over all ordered tile pairs."""
         self.validate_connected()
-        return nx.average_shortest_path_length(self.graph)
+        n = self.num_tiles
+        # The sum is an exact integer, so the mean is one correctly rounded division.
+        return int(self.hop_minimal_paths.hop_distance.sum()) / (n * (n - 1))
 
     def link_is_aligned(self, link: Link) -> bool:
         """Return ``True`` if the link stays within one row or one column.
@@ -294,17 +384,6 @@ class Topology:
         a = self.coord(link.src)
         b = self.coord(link.dst)
         return abs(a.row - b.row) + abs(a.col - b.col)
-
-    # -------------------------------------------------------------- mutation
-    def with_endpoints_per_tile(self, endpoints_per_tile: int) -> "Topology":
-        """Return a copy of this topology with a different endpoint count."""
-        return Topology(
-            self._rows,
-            self._cols,
-            self._links,
-            self._name,
-            endpoints_per_tile=endpoints_per_tile,
-        )
 
     # ------------------------------------------------------------------ misc
     def __repr__(self) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.topologies.base import Topology
@@ -73,13 +72,19 @@ class TopologyProperties:
 def analyze_topology(topology: Topology) -> TopologyProperties:
     """Compute :class:`TopologyProperties` for ``topology``.
 
-    The minimal-path analysis is exact (all-pairs) and runs in
-    ``O(N * (N + L))`` which is instantaneous for the chip sizes considered in
-    the paper (64-256 tiles).
+    The minimal-path analysis is exact (all-pairs).  Hop distances and the
+    physical length of hop-minimal paths come from the topology's cached
+    :attr:`~repro.topologies.base.Topology.hop_minimal_paths` pass (one
+    breadth-first sweep over all ``N^2`` pairs, shared with the routing
+    tables); the shortest physical distances from an ``O(N^3)`` array
+    Floyd-Warshall.  Each takes tens of milliseconds at the paper's largest
+    chip (256 tiles).
     """
     topology.validate_connected()
     num_links = topology.num_links
-    aligned = sum(1 for link in topology.links if topology.link_is_aligned(link))
+    src, dst = topology.link_ends.T
+    rows, cols = topology.tile_rows, topology.tile_cols
+    aligned = int(np.count_nonzero((rows[src] == rows[dst]) | (cols[src] == cols[dst])))
     lengths = topology.link_lengths.tolist()
     short = sum(1 for length in lengths if length == 1)
 
@@ -119,72 +124,33 @@ def bisection_link_count(topology: Topology) -> int:
     return int(np.count_nonzero(crossing[:, 0] != crossing[:, 1]))
 
 
-def physical_link_length_graph(topology: Topology) -> nx.Graph:
-    """Return a graph whose edge weights are physical link lengths (tile pitches)."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(topology.num_tiles))
-    for link in topology.links:
-        graph.add_edge(link.src, link.dst, length=topology.link_grid_length(link))
-    return graph
-
-
 def _minimal_path_analysis(topology: Topology) -> tuple[bool, bool]:
-    """Return ``(minimal_paths_present, minimal_paths_used)`` (Table I columns)."""
-    weighted = physical_link_length_graph(topology)
+    """Return ``(minimal_paths_present, minimal_paths_used)`` (Table I columns).
 
-    # Shortest *physical* distance between all pairs.
-    physical_distance = dict(nx.all_pairs_dijkstra_path_length(weighted, weight="length"))
-    # Shortest *hop* distance between all pairs.
-    hop_distance = dict(nx.all_pairs_shortest_path_length(topology.graph))
-
-    present = True
-    used = True
-    rows, cols = topology.tile_rows.tolist(), topology.tile_cols.tolist()
-    for src in topology.tiles():
-        # Minimum physical length among hop-minimal paths, via a Dijkstra
-        # restricted to edges that lie on some hop-minimal path from src.
-        min_physical_on_hop_minimal = _min_length_on_hop_minimal_paths(
-            topology, weighted, hop_distance[src], src
-        )
-        for dst in topology.tiles():
-            if dst == src:
-                continue
-            manhattan = abs(rows[src] - rows[dst]) + abs(cols[src] - cols[dst])
-            if physical_distance[src][dst] > manhattan:
-                present = False
-            if min_physical_on_hop_minimal[dst] > manhattan:
-                used = False
-        if not present and not used:
-            break
-    # If minimal paths are not even present they cannot be used.
-    if not present:
-        used = False
+    A path is physically minimal when its length equals the Manhattan
+    distance of its ends.  Minimal paths are *present* when the shortest
+    physical distance of every pair is its Manhattan distance, and *used*
+    when, in addition, some hop-minimal path of every pair is that short.
+    """
+    rows, cols = topology.tile_rows, topology.tile_cols
+    manhattan = np.abs(rows[:, None] - rows) + np.abs(cols[:, None] - cols)
+    present = bool((_physical_distances(topology) <= manhattan).all())
+    used = present and bool((topology.hop_minimal_paths.hop_minimal_length <= manhattan).all())
     return present, used
 
 
-def _min_length_on_hop_minimal_paths(
-    topology: Topology,
-    weighted: nx.Graph,
-    hops_from_src: dict[int, int],
-    src: int,
-) -> dict[int, float]:
-    """Minimum physical path length from ``src`` restricted to hop-minimal paths.
+def _physical_distances(topology: Topology) -> np.ndarray:
+    """All-pairs shortest physical distance in tile pitches (Floyd-Warshall).
 
-    Hop-minimal paths from ``src`` form a DAG (edges go from hop level ``h`` to
-    ``h+1``); a dynamic program over increasing hop level yields, for every
-    destination, the physically shortest path among all hop-minimal paths.
+    Lengths are integers, so the distances are exact; an unconnected pair
+    keeps a distance no path can have.
     """
-    best: dict[int, float] = {src: 0.0}
-    # Process nodes in order of increasing hop count from src.
-    for node in sorted(hops_from_src, key=hops_from_src.get):
-        if node not in best:
-            # Unreachable via recorded predecessors; should not happen in a
-            # connected topology but guard anyway.
-            continue
-        level = hops_from_src[node]
-        for neighbor in weighted.neighbors(node):
-            if hops_from_src.get(neighbor) == level + 1:
-                candidate = best[node] + weighted.edges[node, neighbor]["length"]
-                if candidate < best.get(neighbor, float("inf")):
-                    best[neighbor] = candidate
-    return best
+    num = topology.num_tiles
+    unreachable = int(topology.link_lengths.sum()) + 1
+    distance = np.full((num, num), unreachable, dtype=np.int64)
+    src, dst = topology.link_ends.T
+    distance[src, dst] = distance[dst, src] = topology.link_lengths
+    np.fill_diagonal(distance, 0)
+    for via in range(num):
+        np.minimum(distance, distance[:, via, None] + distance[via], out=distance)
+    return distance

@@ -27,7 +27,8 @@ class TestRoutingTableInvariants:
         import networkx as nx
 
         tables = build_routing_tables(topology)
-        shortest = dict(nx.all_pairs_shortest_path_length(topology.graph))
+        graph = nx.Graph([(link.src, link.dst) for link in topology.links])
+        shortest = dict(nx.all_pairs_shortest_path_length(graph))
         nodes = list(topology.tiles())
         for source in nodes[:: max(1, len(nodes) // 6)]:
             for destination in nodes[:: max(1, len(nodes) // 6)]:

@@ -4,9 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config_space import configuration_count
 from repro.core.sparse_hamming import SparseHammingGraph
+from repro.topologies.base import Link, Topology
 from repro.topologies.flattened_butterfly import FlattenedButterflyTopology
 from repro.topologies.folded_torus import FoldedTorusTopology
 from repro.topologies.mesh import MeshTopology
+from repro.topologies.properties import _physical_distances, analyze_topology
 from repro.topologies.ring import RingTopology
 from repro.topologies.torus import TorusTopology
 
@@ -120,3 +122,83 @@ class TestEstablishedTopologyInvariants:
         rows, cols = dims
         topo = FlattenedButterflyTopology(rows, cols)
         assert topo.router_radix() == rows + cols - 2 + 1
+
+
+@st.composite
+def connected_link_sets(draw):
+    """A random connected topology: a chain through a shuffled tile order plus
+    random extra links, so links are often long and not aligned."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(2, 5))
+    tiles = rows * cols
+    order = draw(st.permutations(range(tiles)))
+    pair = st.tuples(st.integers(0, tiles - 1), st.integers(0, tiles - 1))
+    extra = [(a, b) for a, b in draw(st.lists(pair, max_size=2 * tiles)) if a != b]
+    links = list(zip(order, order[1:])) + extra
+    return Topology(rows, cols, links, "random")
+
+
+class TestGraphQueriesMatchNetworkx:
+    """networkx is the independent reference for the array-based graph queries."""
+
+    @given(topology=connected_link_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_hop_queries(self, topology):
+        import networkx as nx
+
+        graph = nx.Graph([(link.src, link.dst) for link in topology.links])
+        assert topology.is_connected()
+        assert topology.diameter() == nx.diameter(graph)
+        # Bit-equal, not approximately equal: both divide one exact sum.
+        assert topology.average_hop_count() == nx.average_shortest_path_length(graph)
+        assert [topology.degree(tile) for tile in topology.tiles()] == [
+            graph.degree[tile] for tile in topology.tiles()
+        ]
+
+    @given(topology=connected_link_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_physical_lengths_and_table1_columns(self, topology):
+        import networkx as nx
+
+        graph = nx.Graph()
+        for link in topology.links:
+            graph.add_edge(link.src, link.dst, length=topology.link_grid_length(link))
+        physical = dict(nx.all_pairs_dijkstra_path_length(graph, weight="length"))
+        distances = _physical_distances(topology)
+        paths = topology.hop_minimal_paths
+        present = used = True
+        for src in topology.tiles():
+            for dst in topology.tiles():
+                hop_minimal = min(
+                    nx.path_weight(graph, path, "length")
+                    for path in nx.all_shortest_paths(graph, src, dst)
+                )
+                assert paths.hop_minimal_length[src, dst] == hop_minimal
+                assert distances[src, dst] == physical[src][dst]
+                a, b = topology.coord(src), topology.coord(dst)
+                manhattan = abs(a.row - b.row) + abs(a.col - b.col)
+                present &= physical[src][dst] == manhattan
+                used &= hop_minimal == manhattan
+        properties = analyze_topology(topology)
+        assert properties.minimal_paths_present == present
+        assert properties.minimal_paths_used == (present and used)
+
+    @given(topology=connected_link_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_next_hop_is_the_physically_shortest_then_lowest_neighbor(self, topology):
+        paths = topology.hop_minimal_paths
+        for node in topology.tiles():
+            for dst in topology.tiles():
+                if node == dst:
+                    continue
+                candidates = [
+                    (
+                        topology.link_grid_length(Link.canonical(node, n))
+                        + int(paths.hop_minimal_length[n, dst]),
+                        n,
+                    )
+                    for n in topology.neighbors(node)
+                    if paths.hop_distance[n, dst] == paths.hop_distance[node, dst] - 1
+                ]
+                chosen = (int(paths.hop_minimal_length[node, dst]), int(paths.next_hop[node, dst]))
+                assert chosen == min(candidates)

@@ -3,8 +3,8 @@
 The service-side half of the gang scheduler: ``WorkQueue.claim_batch`` must
 lease only gang-compatible jobs in one atomic transaction, the batch worker
 must keep per-job store-before-complete semantics (so concurrent batch
-workers never double-complete a job), and a v1 database must transparently
-migrate to the gang-aware v2 schema.
+workers never double-complete a job), and an older database must
+transparently migrate to the current schema, re-keying its queued jobs.
 """
 
 from __future__ import annotations
@@ -198,9 +198,9 @@ def test_batch_worker_runs_default_engine_jobs_one_by_one(tmp_path, monkeypatch)
 
 
 def test_batch_worker_drains_rows_keyed_before_vec_only_gangs(tmp_path, monkeypatch):
-    # Queue rows written before gangs were limited to vec specs carry a gang
-    # key for default-engine jobs too: the key of their vec twin, since the
-    # engine is not part of the compiled network.
+    # Queue rows written by a v2 store before gangs were limited to vec specs
+    # carry a gang key for default-engine jobs too: the key of their vec
+    # twin, since the engine is not part of the compiled network.
     specs = [default_spec(seed) for seed in (1, 2, 3)]
     single = WorkQueue(tmp_path / "single.sqlite")
     legacy = WorkQueue(tmp_path / "legacy.sqlite")
@@ -210,16 +210,16 @@ def test_batch_worker_drains_rows_keyed_before_vec_only_gangs(tmp_path, monkeypa
     old_key = gang_key_id(sim_spec(1))
     conn = sqlite3.connect(tmp_path / "legacy.sqlite")
     conn.execute("UPDATE jobs SET gang_key = ?", (old_key,))
+    conn.execute("UPDATE meta SET value = '2' WHERE key = 'store_schema_version'")
     conn.commit()
     conn.close()
 
     run_worker(single, worker_id="one-by-one")
-    stats, claims = _drain(legacy, 8, monkeypatch)
-    # The old keys still lease the jobs together; the fused attempt refuses
-    # the soa specs and every job runs on its own.
-    assert claims == [3]
+    # Opening the store re-keys the rows: no default-engine job gangs.
+    stats, claims = _drain(WorkQueue(tmp_path / "legacy.sqlite"), 8, monkeypatch)
+    assert claims == [1, 1, 1]
     assert stats.computed == len(specs) and stats.failed == 0
-    assert stats.fused_fallbacks == 1
+    assert stats.fused_fallbacks == 0
     _assert_same_payloads(specs, legacy, single)
 
 

@@ -154,7 +154,8 @@ class TestRoutingTables:
         import networkx as nx
 
         tables = build_routing_tables(topology)
-        shortest = dict(nx.all_pairs_shortest_path_length(topology.graph))
+        graph = nx.Graph([(link.src, link.dst) for link in topology.links])
+        shortest = dict(nx.all_pairs_shortest_path_length(graph))
         for source in topology.tiles():
             for destination in topology.tiles():
                 if source == destination:

@@ -121,7 +121,16 @@ class TestTopologyArrays:
         assert [topo.link_index[link] for link in topo.links] == list(range(topo.num_links))
 
     def test_arrays_are_read_only(self, topo):
-        for array in (topo.tile_rows, topo.tile_cols, topo.link_ends, topo.link_lengths):
+        arrays = (
+            topo.tile_rows,
+            topo.tile_cols,
+            topo.link_ends,
+            topo.link_lengths,
+            topo.degrees,
+            topo.neighbor_array,
+            *topo.hop_minimal_paths,
+        )
+        for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 1
 
@@ -129,6 +138,38 @@ class TestTopologyArrays:
         topo = Topology(1, 2, [], "empty")
         assert topo.link_ends.shape == (0, 2)
         assert topo.link_lengths.shape == (0,)
+        assert topo.degrees.tolist() == [0, 0]
+        assert topo.neighbor_array.shape == (3, 0)
+        assert topo.max_degree() == 0
+        assert topo.hop_minimal_paths.next_hop.tolist() == [[0, -1], [-1, 1]]
+        assert not topo.is_connected()
+
+    def test_neighbor_array_lists_ascending_neighbors_then_padding(self, topo):
+        assert topo.degrees.tolist() == [2, 2, 1, 1, 0, 1, 0, 0, 0, 2, 0, 1]
+        assert topo.neighbor_array.shape == (13, 2)
+        assert topo.neighbor_array[[0, 1, 2, 4, 9, 12]].tolist() == [
+            [1, 11], [0, 9], [3, 12], [12, 12], [1, 5], [12, 12]
+        ]
+        assert [topo.neighbors(tile) for tile in (0, 9, 4)] == [[1, 11], [1, 5], []]
+
+    def test_hop_minimal_paths_mark_unreachable_pairs(self, topo):
+        paths = topo.hop_minimal_paths
+        # 0 -> 5 runs 0-1-9-5: lengths 1 + 2 + 1.
+        assert (paths.next_hop[0, 5], paths.hop_distance[0, 5]) == (1, 3)
+        assert paths.hop_minimal_length[0, 5] == 4
+        # Tile 4 has no links at all.
+        for array in paths:
+            assert array[0, 4] == array[4, 0] == -1
+        assert paths.next_hop.diagonal().tolist() == list(topo.tiles())
+
+    def test_hop_minimal_paths_prefer_the_physically_shorter_next_hop(self):
+        # 4 -> 8 in two hops via 1 (lengths 1 + 3) or via 5 (lengths 1 + 1):
+        # the physically shorter continuation wins over the lower index.
+        topo = Topology(3, 3, [(4, 5), (5, 8), (1, 4), (1, 8)], "detour")
+        paths = topo.hop_minimal_paths
+        assert paths.next_hop[4, 8] == 5
+        assert paths.hop_distance[4, 8] == 2
+        assert paths.hop_minimal_length[4, 8] == 2
 
 
 class TestTopologyGraph:
@@ -180,11 +221,6 @@ class TestTopologyGraph:
         b = Topology(2, 2, [(0, 2), (2, 3), (1, 3), (0, 1)], "b")
         assert a == b  # names do not participate in equality
         assert hash(a) == hash(b)
-
-    def test_with_endpoints_per_tile(self, square):
-        doubled = square.with_endpoints_per_tile(2)
-        assert doubled.endpoints_per_tile == 2
-        assert doubled.num_links == square.num_links
 
     def test_repr_mentions_grid(self, square):
         assert "2x2" in repr(square)

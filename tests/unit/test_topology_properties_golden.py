@@ -45,11 +45,6 @@ def _digest(rows) -> str:
     return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
 
 
-def _table(table) -> list:
-    """A routing table as nested lists (the builder's own form)."""
-    return [list(row) for row in table]
-
-
 def _case(topology) -> dict:
     scores = score_design_principles(topology)
     properties = {}
@@ -66,10 +61,10 @@ def _case(topology) -> dict:
         "properties": properties,
         "ratings": ratings,
         "routing": {
-            "minimal": _digest(_table(tables.minimal)),
-            "escape": _digest(_table(tables.escape)),
-            "hop_distance": _digest(_table(tables.hop_distance)),
-            "tree_parent": _digest(list(tables.tree_parent)),
+            "minimal": _digest(tables.minimal),
+            "escape": _digest(tables.escape),
+            "hop_distance": _digest(tables.hop_distance),
+            "tree_parent": _digest(tables.tree_parent),
         },
     }
 
