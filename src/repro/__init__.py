@@ -32,33 +32,71 @@ The library is organised as:
 * :mod:`repro.viz` — text rendering of topologies and floorplans.
 """
 
-from repro.core import SparseHammingGraph
-from repro.experiments import (
-    Campaign,
-    ExperimentResult,
-    ExperimentRunner,
-    ExperimentSpec,
-    ResultSet,
-    figure6_campaign,
-    run_campaign,
-)
-from repro.optimize import (
-    CustomizationGoal,
-    CustomizationResult,
-    SearchResult,
-    SearchSpec,
-    customize_sparse_hamming,
-    run_search,
-)
-from repro.physical import ArchitecturalParameters, NoCPhysicalModel
-from repro.simulator import SimulationConfig, Simulator, available_engines
-from repro.toolchain import PredictionResult, PredictionToolchain, predict
-from repro.topologies import Topology, make_topology
-from repro.workloads import WorkloadTrace, make_workload_trace, replay_trace
+import sys
+from typing import Any, Callable
 
 #: Single source of the package version: ``setup.py`` parses this assignment
 #: and the CLI's ``repro --version`` prints it.
 __version__ = "1.3.0"
+
+
+def _lazy_exports(
+    package: str, exports: dict[str, tuple[str, ...]]
+) -> tuple[Callable[[str], Any], Callable[[], list[str]]]:
+    """PEP 562 ``__getattr__`` and ``__dir__`` of a package's re-exports.
+
+    ``exports`` maps each defining module to the names the package
+    re-exports from it.  A name's module is imported on first access, so
+    importing a package loads none of its submodules.  Nothing is cached on
+    the package: every access returns the defining module's current object.
+    """
+    home = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str) -> Any:
+        module = home.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        # ``__import__`` rather than ``importlib.import_module``: only the
+        # former shows in ``python -X importtime``.
+        __import__(module)
+        return getattr(sys.modules[module], name)
+
+    def __dir__() -> list[str]:
+        return sorted(set(vars(sys.modules[package])) | set(home))
+
+    return __getattr__, __dir__
+
+
+_EXPORTS = {
+    "repro.core.sparse_hamming": ("SparseHammingGraph",),
+    "repro.experiments.campaign": ("Campaign", "figure6_campaign"),
+    "repro.experiments.runner": (
+        "ExperimentResult",
+        "ExperimentRunner",
+        "ResultSet",
+        "run_campaign",
+    ),
+    "repro.experiments.spec": ("ExperimentSpec",),
+    "repro.optimize.greedy": (
+        "CustomizationGoal",
+        "CustomizationResult",
+        "customize_sparse_hamming",
+    ),
+    "repro.optimize.search": ("SearchResult", "run_search"),
+    "repro.optimize.spec": ("SearchSpec",),
+    "repro.physical.model": ("NoCPhysicalModel",),
+    "repro.physical.parameters": ("ArchitecturalParameters",),
+    "repro.simulator.engine": ("available_engines",),
+    "repro.simulator.simulation": ("SimulationConfig", "Simulator"),
+    "repro.simulator.sweep": ("replay_trace",),
+    "repro.toolchain.predict": ("PredictionToolchain", "predict"),
+    "repro.toolchain.results": ("PredictionResult",),
+    "repro.topologies.base": ("Topology",),
+    "repro.topologies.registry": ("make_topology",),
+    "repro.workloads.generators": ("make_workload_trace",),
+    "repro.workloads.trace": ("WorkloadTrace",),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "SparseHammingGraph",

@@ -7,20 +7,25 @@
   prediction toolchain (Table III).
 """
 
-from repro.arch.knc import (
-    KNCScenario,
-    KNC_SCENARIOS,
-    scenario,
-    scenario_parameters,
-    paper_sparse_hamming_parameters,
-)
-from repro.arch.mempool import (
-    MEMPOOL_REFERENCE,
-    MemPoolReference,
-    mempool_parameters,
-    mempool_topology,
-    validate_toolchain_against_mempool,
-)
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "repro.arch.knc": (
+        "KNCScenario",
+        "KNC_SCENARIOS",
+        "scenario",
+        "scenario_parameters",
+        "paper_sparse_hamming_parameters",
+    ),
+    "repro.arch.mempool": (
+        "MEMPOOL_REFERENCE",
+        "MemPoolReference",
+        "mempool_parameters",
+        "mempool_topology",
+        "validate_toolchain_against_mempool",
+    ),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "KNCScenario",

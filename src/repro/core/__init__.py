@@ -14,16 +14,21 @@ The five-step customization strategy of Section V-a, which tunes
 specs and lives in :mod:`repro.optimize.greedy`.
 """
 
-from repro.core.sparse_hamming import SparseHammingGraph, sparse_hamming_links
-from repro.core.design_principles import (
-    DesignPrincipleScores,
-    score_design_principles,
-)
-from repro.core.config_space import (
-    configuration_count,
-    enumerate_configurations,
-    random_configuration,
-)
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "repro.core.config_space": (
+        "configuration_count",
+        "enumerate_configurations",
+        "random_configuration",
+    ),
+    "repro.core.design_principles": (
+        "DesignPrincipleScores",
+        "score_design_principles",
+    ),
+    "repro.core.sparse_hamming": ("SparseHammingGraph", "sparse_hamming_links"),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "SparseHammingGraph",

@@ -162,24 +162,22 @@ def _channel_loads(topology: Topology) -> tuple[list[int], list[int]]:
     treats them.  The resulting per-channel counts drive the ULD rating.
     """
     rows, cols = topology.rows, topology.cols
-    # horizontal_channels[r][c] = segments crossing between column c and c+1 in row r
-    horizontal = [[0] * max(cols - 1, 1) for _ in range(rows)]
-    # vertical_channels[r][c] = segments crossing between row r and r+1 in column c
-    vertical = [[0] * cols for _ in range(max(rows - 1, 1))]
-    for link in topology.links:
-        a = topology.coord(link.src)
-        b = topology.coord(link.dst)
-        #
-
-        # Route row-first: move along the row of a, then along the column of b.
-        c_low, c_high = sorted((a.col, b.col))
-        for c in range(c_low, c_high):
-            horizontal[a.row][c] += 1
-        r_low, r_high = sorted((a.row, b.row))
-        for r in range(r_low, r_high):
-            vertical[r][b.col] += 1
-    h_flat = [count for row in horizontal for count in row] if cols > 1 else []
-    v_flat = [count for row in vertical for count in row] if rows > 1 else []
+    src, dst = topology.link_ends.T
+    src_row, src_col = topology.tile_rows[src], topology.tile_cols[src]
+    dst_row, dst_col = topology.tile_rows[dst], topology.tile_cols[dst]
+    # Route row-first: along the row of the source, then along the column of
+    # the destination.  Each span [low, high) of channels is marked +1 at
+    # ``low`` and -1 at ``high``; a running sum then counts the segments.
+    # horizontal[r, c] = segments crossing between column c and c+1 in row r
+    horizontal = np.zeros((rows, cols), dtype=np.int64)
+    np.add.at(horizontal, (src_row, np.minimum(src_col, dst_col)), 1)
+    np.add.at(horizontal, (src_row, np.maximum(src_col, dst_col)), -1)
+    # vertical[r, c] = segments crossing between row r and r+1 in column c
+    vertical = np.zeros((rows, cols), dtype=np.int64)
+    np.add.at(vertical, (np.minimum(src_row, dst_row), dst_col), 1)
+    np.add.at(vertical, (np.maximum(src_row, dst_row), dst_col), -1)
+    h_flat = np.cumsum(horizontal, axis=1)[:, : cols - 1].ravel().tolist()
+    v_flat = np.cumsum(vertical, axis=0)[: rows - 1].ravel().tolist()
     return h_flat, v_flat
 
 

@@ -8,13 +8,18 @@ A failing differential test can then print a one-line command that rebuilds
 the exact failing scenario from ``(generator seed, index)`` alone.
 """
 
-from repro.devtools.scenarios import (
-    Scenario,
-    diff_stats,
-    generate_scenarios,
-    get_scenario,
-    run_scenario,
-)
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "repro.devtools.scenarios": (
+        "Scenario",
+        "diff_stats",
+        "generate_scenarios",
+        "get_scenario",
+        "run_scenario",
+    ),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Scenario",

@@ -22,17 +22,22 @@ The declarative search layer lives in :mod:`repro.optimize`; its
 surface.
 """
 
-from repro.experiments.spec import ExperimentSpec, PROTOCOL_PRESETS
-from repro.experiments.campaign import Campaign, figure6_campaign
-from repro.experiments.runner import (
-    ExperimentResult,
-    ExperimentRunner,
-    ResultSet,
-    prediction_from_dict,
-    prediction_to_dict,
-    run_campaign,
-)
-from repro.optimize import SearchResult, SearchSpec, run_search
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "repro.experiments.campaign": ("Campaign", "figure6_campaign"),
+    "repro.experiments.runner": (
+        "ExperimentResult",
+        "ExperimentRunner",
+        "ResultSet",
+        "run_campaign",
+    ),
+    "repro.experiments.serialization": ("prediction_from_dict", "prediction_to_dict"),
+    "repro.experiments.spec": ("ExperimentSpec", "PROTOCOL_PRESETS"),
+    "repro.optimize.search": ("SearchResult", "run_search"),
+    "repro.optimize.spec": ("SearchSpec",),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ExperimentSpec",

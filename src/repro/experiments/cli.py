@@ -76,35 +76,24 @@ The console script is registered in ``setup.py``; without installing, use
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
-from typing import Any, Sequence
-
 from pathlib import Path
+from typing import TYPE_CHECKING, Any, Sequence
 
+# Building the parser needs only these light modules; each handler imports
+# the subsystem it runs, so ``repro --version`` and ``repro list-engines``
+# load no numpy and ``repro serve`` loads no optimizer or verifier.
 from repro import __version__
-from repro.analysis.phases import phase_records
-from repro.analysis.search import compare_with_baseline, trajectory_records
 from repro.arch.knc import KNC_SCENARIOS
-from repro.optimize import SearchSpec, run_search
-from repro.experiments.campaign import Campaign, figure6_campaign
-from repro.experiments.runner import ExperimentRunner, ResultSet, prediction_to_dict
-from repro.experiments.spec import ExperimentSpec, check_sim_overrides
-from repro.service.queue import DEFAULT_LEASE_SECONDS
 from repro.simulator.engine import available_engines
-from repro.simulator.simulation import SimulationConfig
-from repro.simulator.sweep import replay_trace
-from repro.simulator.traffic import available_traffic_patterns
-from repro.topologies.registry import (
-    DISPLAY_NAMES,
-    available_topologies,
-    is_applicable,
-    make_topology,
-)
 from repro.utils.validation import ValidationError
-from repro.verify import verify_topology
-from repro.verify.lint import run_lint
-from repro.workloads import WorkloadTrace, available_workloads, make_workload_trace
+
+if TYPE_CHECKING:  # imported for type hints only; no runtime dependency
+    from repro.experiments.runner import ResultSet
+    from repro.optimize.spec import SearchSpec
+    from repro.workloads.trace import WorkloadTrace
 
 
 def _print_table(rows: list[dict[str, Any]]) -> None:
@@ -168,6 +157,8 @@ def _emit_results(
 
 # ------------------------------------------------------------- subcommands
 def _cmd_list_topologies(args: argparse.Namespace) -> int:
+    from repro.topologies.registry import DISPLAY_NAMES, available_topologies, is_applicable
+
     rows = []
     for key in available_topologies():
         row: dict[str, Any] = {"key": key, "name": DISPLAY_NAMES.get(key, key)}
@@ -182,16 +173,29 @@ def _cmd_list_topologies(args: argparse.Namespace) -> int:
 
 
 #: ``repro list-*`` subcommands that print the names of one registry:
-#: command -> (help, registry listing).
+#: command -> (help, module, function listing the registry's names).
 _NAME_LISTS = {
-    "list-traffic": ("list registered traffic patterns", available_traffic_patterns),
-    "list-workloads": ("list registered workload generators", available_workloads),
-    "list-engines": ("list registered simulation engines", available_engines),
+    "list-traffic": (
+        "list registered traffic patterns",
+        "repro.simulator.traffic",
+        "available_traffic_patterns",
+    ),
+    "list-workloads": (
+        "list registered workload generators",
+        "repro.workloads.generators",
+        "available_workloads",
+    ),
+    "list-engines": (
+        "list registered simulation engines",
+        "repro.simulator.engine",
+        "available_engines",
+    ),
 }
 
 
 def _cmd_list_names(args: argparse.Namespace) -> int:
-    names = _NAME_LISTS[args.command][1]()
+    _, module, function = _NAME_LISTS[args.command]
+    names = getattr(importlib.import_module(module), function)()
     if args.as_json:
         _print_json(names)
     else:
@@ -246,6 +250,9 @@ def _progress_enabled() -> bool:
 
 def _build_trace(args: argparse.Namespace) -> WorkloadTrace:
     """Trace from ``--trace FILE`` or generated from ``--workload NAME``."""
+    from repro.workloads.generators import make_workload_trace
+    from repro.workloads.trace import WorkloadTrace
+
     if getattr(args, "trace", None):
         if getattr(args, "workload", None):
             raise ValidationError(
@@ -282,6 +289,12 @@ def _cmd_gen_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from repro.analysis.phases import phase_records
+    from repro.experiments.spec import check_sim_overrides
+    from repro.simulator.simulation import SimulationConfig
+    from repro.simulator.sweep import replay_trace
+    from repro.topologies.registry import make_topology
+
     trace = _build_trace(args)
     topology = make_topology(
         args.topology,
@@ -350,6 +363,9 @@ _VERIFY_FALLBACK_GRIDS = ((4, 4), (3, 6), (2, 2), (3, 3))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from repro.topologies.registry import available_topologies, is_applicable, make_topology
+    from repro.verify.static import verify_topology
+
     if args.all_topologies:
         if args.topology:
             raise ValidationError("--topology and --all-topologies are exclusive")
@@ -405,6 +421,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
+    from repro.verify.lint import run_lint
+
     violations = run_lint(args.root)
     if args.as_json:
         _print_json(
@@ -430,6 +448,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import ExperimentRunner
+    from repro.experiments.serialization import prediction_to_dict
+    from repro.experiments.spec import ExperimentSpec
+
     workload = _workload_arg(args.workload) if args.workload else None
     spec = ExperimentSpec(
         topology=args.topology,
@@ -460,6 +482,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.experiments.campaign import Campaign
+    from repro.experiments.runner import ExperimentRunner
+
     campaign = Campaign.load(args.spec)
     specs = list(campaign.specs)
     if args.sim_overrides:
@@ -480,6 +505,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure6(args: argparse.Namespace) -> int:
+    from repro.experiments.campaign import figure6_campaign
+    from repro.experiments.runner import ExperimentRunner, ResultSet
+
     keys = sorted(KNC_SCENARIOS) if args.scenario == "all" else [args.scenario]
     runner = ExperimentRunner(store=args.store)
     combined: list[Any] = []
@@ -515,6 +543,8 @@ DEFAULT_SEARCH_SPACE = {
 
 def _build_search_spec(args: argparse.Namespace) -> SearchSpec:
     """Assemble the :class:`SearchSpec` from ``repro optimize`` flags."""
+    from repro.optimize.spec import SearchSpec
+
     if args.spec:
         # A --spec file already fixes every flag that defines the search,
         # so combining the two would silently ignore whichever the user
@@ -561,6 +591,9 @@ def _build_search_spec(args: argparse.Namespace) -> SearchSpec:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    from repro.analysis.search import compare_with_baseline, trajectory_records
+    from repro.optimize.search import run_search
+
     spec = _build_search_spec(args)
     result = run_search(
         spec, store=args.store, parallel=args.parallel, progress=_progress_enabled()
@@ -760,6 +793,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_enqueue(args: argparse.Namespace) -> int:
+    from repro.experiments.campaign import Campaign
     from repro.service.queue import WorkQueue
 
     campaign = Campaign.load(args.spec)
@@ -785,12 +819,13 @@ def _cmd_enqueue(args: argparse.Namespace) -> int:
 
 
 def _cmd_work(args: argparse.Namespace) -> int:
+    from repro.service.queue import DEFAULT_LEASE_SECONDS
     from repro.service.worker import run_worker
 
     stats = run_worker(
         args.db,
         worker_id=args.worker_id,
-        lease_seconds=args.lease,
+        lease_seconds=DEFAULT_LEASE_SECONDS if args.lease is None else args.lease,
         max_jobs=args.max_jobs,
         poll_seconds=args.poll,
         idle_exit=not args.keep_alive,
@@ -929,7 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_topo.add_argument("--rows", type=int, default=0, help="grid rows for applicability check")
     p_topo.add_argument("--cols", type=int, default=0, help="grid cols for applicability check")
-    for name, (help_text, _) in _NAME_LISTS.items():
+    for name, (help_text, _, _) in _NAME_LISTS.items():
         _add_command(sub, name, help_text, _cmd_list_names, as_json)
 
     p_gen = _add_command(
@@ -1130,8 +1165,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--worker-id", default=None, help="lease identity (default: pid-<pid>)"
     )
     p_work.add_argument(
-        "--lease", type=float, default=DEFAULT_LEASE_SECONDS,
-        help="lease seconds per claim (heartbeats renew it while running)",
+        "--lease", type=float, default=None,
+        help="lease seconds per claim (default 300; heartbeats renew it while running)",
     )
     p_work.add_argument(
         "--max-jobs", type=int, default=None, help="stop after this many jobs"

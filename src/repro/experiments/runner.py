@@ -31,7 +31,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, TextIO
@@ -459,6 +458,9 @@ class ExperimentRunner:
                 reporter.completed(unit, lanes)
 
         if parallel is not None and parallel > 1 and len(unique) > 1:
+            # Imported here: serial runs, the default, never load the pool.
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=parallel) as pool:
                 payloads = pool.map(
                     _unit_payload,

@@ -29,26 +29,27 @@ The ``repro optimize`` CLI subcommand and
 ``docs/OPTIMIZER.md`` documents the method.
 """
 
-from repro.optimize.greedy import (
-    CustomizationGoal,
-    CustomizationResult,
-    CustomizationStep,
-    customize_sparse_hamming,
-)
-from repro.optimize.objectives import (
-    OBJECTIVE_METRICS,
-    Constraints,
-    Objective,
-)
-from repro.optimize.search import (
-    RungEntry,
-    RungRecord,
-    ScreenRecord,
-    SearchResult,
-    run_search,
-)
-from repro.optimize.space import Candidate, SearchSpace
-from repro.optimize.spec import SearchSpec
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "repro.optimize.greedy": (
+        "CustomizationGoal",
+        "CustomizationResult",
+        "CustomizationStep",
+        "customize_sparse_hamming",
+    ),
+    "repro.optimize.objectives": ("OBJECTIVE_METRICS", "Constraints", "Objective"),
+    "repro.optimize.search": (
+        "RungEntry",
+        "RungRecord",
+        "ScreenRecord",
+        "SearchResult",
+        "run_search",
+    ),
+    "repro.optimize.space": ("Candidate", "SearchSpace"),
+    "repro.optimize.spec": ("SearchSpec",),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "OBJECTIVE_METRICS",

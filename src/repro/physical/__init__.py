@@ -14,22 +14,40 @@ The link latencies are what make the downstream cycle-accurate simulation
 accurate (Section IV-A).
 """
 
-from repro.physical.technology import TechnologyModel, TECH_22NM, TECH_GF22FDX, TECHNOLOGY_PRESETS
-from repro.physical.parameters import (
-    ArchitecturalParameters,
-    TransportProtocolModel,
-    AXI4_PROTOCOL,
-    LIGHTWEIGHT_PROTOCOL,
-)
-from repro.physical.tile import TileGeometry, estimate_tile_geometry
-from repro.physical.floorplan import Floorplan, PortSide, build_floorplan
-from repro.physical.global_routing import GlobalRoute, GlobalRoutingResult, global_route
-from repro.physical.unit_cells import UnitCellGrid, discretize_chip
-from repro.physical.detailed_routing import DetailedRoute, DetailedRoutingResult, detailed_route
-from repro.physical.area import AreaEstimate, estimate_area
-from repro.physical.power import PowerEstimate, estimate_power
-from repro.physical.link_latency import estimate_link_latencies
-from repro.physical.model import NoCPhysicalModel, PhysicalModelResult
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "repro.physical.area": ("AreaEstimate", "estimate_area"),
+    "repro.physical.detailed_routing": (
+        "DetailedRoute",
+        "DetailedRoutingResult",
+        "detailed_route",
+    ),
+    "repro.physical.floorplan": ("Floorplan", "PortSide", "build_floorplan"),
+    "repro.physical.global_routing": (
+        "GlobalRoute",
+        "GlobalRoutingResult",
+        "global_route",
+    ),
+    "repro.physical.link_latency": ("estimate_link_latencies",),
+    "repro.physical.model": ("NoCPhysicalModel", "PhysicalModelResult"),
+    "repro.physical.parameters": (
+        "ArchitecturalParameters",
+        "TransportProtocolModel",
+        "AXI4_PROTOCOL",
+        "LIGHTWEIGHT_PROTOCOL",
+    ),
+    "repro.physical.power": ("PowerEstimate", "estimate_power"),
+    "repro.physical.technology": (
+        "TechnologyModel",
+        "TECH_22NM",
+        "TECH_GF22FDX",
+        "TECHNOLOGY_PRESETS",
+    ),
+    "repro.physical.tile": ("TileGeometry", "estimate_tile_geometry"),
+    "repro.physical.unit_cells": ("UnitCellGrid", "discretize_chip"),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "TechnologyModel",

@@ -18,7 +18,7 @@ boundary.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from repro.physical.detailed_routing import DetailedRoutingResult
 from repro.physical.parameters import ArchitecturalParameters
@@ -32,24 +32,37 @@ from repro.topologies.base import Link
 CYCLE_BOUNDARY_REL_TOL = 1e-9
 
 
-def _ceil_with_tolerance(value: float) -> int:
-    """``ceil(value)``, snapping values within relative tolerance of an integer."""
-    nearest = round(value)
-    if math.isclose(value, nearest, rel_tol=CYCLE_BOUNDARY_REL_TOL, abs_tol=CYCLE_BOUNDARY_REL_TOL):
-        return int(nearest)
-    return int(math.ceil(value))
+def _ceil_with_tolerance(value: np.ndarray | float) -> np.ndarray:
+    """``ceil(value)`` elementwise, snapping values within relative tolerance
+    of an integer (the snap test is :func:`math.isclose` with ``rel_tol`` and
+    ``abs_tol`` both :data:`CYCLE_BOUNDARY_REL_TOL`)."""
+    value = np.asarray(value, dtype=float)
+    nearest = np.round(value)
+    tolerance = np.maximum(
+        CYCLE_BOUNDARY_REL_TOL * np.maximum(np.abs(value), np.abs(nearest)),
+        CYCLE_BOUNDARY_REL_TOL,
+    )
+    return np.where(np.abs(value - nearest) <= tolerance, nearest, np.ceil(value)).astype(
+        np.int64
+    )
 
 
 def link_latency_cycles(
     params: ArchitecturalParameters,
     grid: UnitCellGrid,
-    horizontal_cells: int,
-    vertical_cells: int,
-) -> int:
-    """Latency in cycles of a link crossing the given number of unit cells."""
-    length_mm = horizontal_cells * grid.cell_width_mm + vertical_cells * grid.cell_height_mm
-    latency_cycles = params.f_mm_to_s(length_mm) * params.frequency_hz
-    return max(1, _ceil_with_tolerance(latency_cycles))
+    horizontal_cells: np.ndarray | int,
+    vertical_cells: np.ndarray | int,
+) -> np.ndarray:
+    """Latency in cycles of links crossing the given numbers of unit cells
+    (elementwise over arrays of cell counts)."""
+    length_mm = np.multiply(horizontal_cells, grid.cell_width_mm) + np.multiply(
+        vertical_cells, grid.cell_height_mm
+    )
+    # The buffered-wire delay is linear in length, so ``f_mm_to_s(1.0)`` is
+    # exactly the delay per millimetre and this product equals
+    # ``f_mm_to_s(length_mm) * F`` bit for bit.
+    latency_cycles = length_mm * params.f_mm_to_s(1.0) * params.frequency_hz
+    return np.maximum(1, _ceil_with_tolerance(latency_cycles))
 
 
 def estimate_link_latencies(
@@ -63,7 +76,7 @@ def estimate_link_latencies(
     that parameterises the cycle-accurate simulation.
     """
     links = detailed.routing.topology.links
-    cells = list(zip(detailed.horizontal_cells.tolist(), detailed.vertical_cells.tolist()))
-    # Links with equal cell counts have equal latencies: compute each once.
-    cycles = {pair: link_latency_cycles(params, grid, *pair) for pair in set(cells)}
-    return {links[index]: cycles[cells[index]] for index in detailed.routing.order.tolist()}
+    cycles = link_latency_cycles(
+        params, grid, detailed.horizontal_cells, detailed.vertical_cells
+    ).tolist()
+    return {links[index]: cycles[index] for index in detailed.routing.order.tolist()}

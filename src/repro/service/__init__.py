@@ -22,14 +22,15 @@ See ``docs/SERVICE.md`` for the store schema, queue semantics, and a
 deployment sketch.
 """
 
-from repro.service.api import ReproServer, make_server
-from repro.service.queue import EnqueueReport, Job, WorkQueue, campaign_id_for
-from repro.service.store import (
-    MigrationReport,
-    ResultStore,
-    StoredResult,
-)
-from repro.service.worker import WorkerStats, run_worker
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "repro.service.api": ("ReproServer", "make_server"),
+    "repro.service.queue": ("EnqueueReport", "Job", "WorkQueue", "campaign_id_for"),
+    "repro.service.store": ("MigrationReport", "ResultStore", "StoredResult"),
+    "repro.service.worker": ("WorkerStats", "run_worker"),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "EnqueueReport",

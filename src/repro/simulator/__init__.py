@@ -32,41 +32,46 @@ this package implements the required subset from scratch:
   config batch).
 """
 
-from repro.simulator.engine import (
-    DEFAULT_ENGINE,
-    ENGINE_FACTORIES,
-    Engine,
-    available_engines,
-    check_engine_name,
-    make_engine,
-)
-from repro.simulator.flit import Flit, Packet
-from repro.simulator.traffic import (
-    TRAFFIC_FACTORIES,
-    TrafficPattern,
-    TraceInjector,
-    UniformRandomTraffic,
-    TransposeTraffic,
-    BitComplementTraffic,
-    TornadoTraffic,
-    NeighborTraffic,
-    HotspotTraffic,
-    available_traffic_patterns,
-    make_traffic,
-    make_traffic_pattern,
-)
-from repro.simulator.routing_tables import RoutingTables, build_routing_tables
-from repro.simulator.network import Network, NetworkConfig
-from repro.simulator.simulation import SimulationConfig, Simulator
-from repro.simulator.statistics import PhaseStats, SimulationStats
-from repro.simulator.sweep import (
-    LoadSweepResult,
-    find_saturation_throughput,
-    replay_trace,
-    run_batch,
-    run_load_sweep,
-    run_plans,
-)
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "repro.simulator.engine": (
+        "DEFAULT_ENGINE",
+        "ENGINE_FACTORIES",
+        "available_engines",
+        "check_engine_name",
+        "make_engine",
+    ),
+    "repro.simulator.engine.base": ("Engine",),
+    "repro.simulator.flit": ("Flit", "Packet"),
+    "repro.simulator.network": ("Network", "NetworkConfig"),
+    "repro.simulator.routing_tables": ("RoutingTables", "build_routing_tables"),
+    "repro.simulator.simulation": ("SimulationConfig", "Simulator"),
+    "repro.simulator.statistics": ("PhaseStats", "SimulationStats"),
+    "repro.simulator.sweep": (
+        "LoadSweepResult",
+        "find_saturation_throughput",
+        "replay_trace",
+        "run_batch",
+        "run_load_sweep",
+        "run_plans",
+    ),
+    "repro.simulator.traffic": (
+        "TRAFFIC_FACTORIES",
+        "TrafficPattern",
+        "TraceInjector",
+        "UniformRandomTraffic",
+        "TransposeTraffic",
+        "BitComplementTraffic",
+        "TornadoTraffic",
+        "NeighborTraffic",
+        "HotspotTraffic",
+        "available_traffic_patterns",
+        "make_traffic",
+        "make_traffic_pattern",
+    ),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "DEFAULT_ENGINE",

@@ -43,33 +43,64 @@ enumerate and instantiate engines by name.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from typing import TYPE_CHECKING, Type
 
-from repro.simulator.engine.base import Engine
-from repro.simulator.engine.reference import ReferenceEngine
-from repro.simulator.engine.sanitizer import SanitizerEngine, SanitizerError
-from repro.simulator.engine.soa import SoAEngine
-from repro.simulator.engine.vec import VecEngine
+from repro import _lazy_exports
 from repro.utils.validation import ValidationError
 
 if TYPE_CHECKING:  # imported for type hints only; no runtime dependency
+    from repro.simulator.engine.base import Engine
     from repro.simulator.network import Network
     from repro.simulator.simulation import SimulationConfig
     from repro.topologies.base import Topology
     from repro.workloads.trace import WorkloadTrace
 
-#: Engine registry: name -> engine class.
-ENGINE_FACTORIES: dict[str, Type[Engine]] = {
-    ReferenceEngine.name: ReferenceEngine,
-    SoAEngine.name: SoAEngine,
-    SanitizerEngine.name: SanitizerEngine,
-    VecEngine.name: VecEngine,
+_EXPORTS = {
+    "repro.simulator.engine.base": ("Engine",),
+    "repro.simulator.engine.reference": ("ReferenceEngine",),
+    "repro.simulator.engine.sanitizer": ("SanitizerEngine", "SanitizerError"),
+    "repro.simulator.engine.soa": ("SoAEngine",),
+    "repro.simulator.engine.vec": ("VecEngine",),
 }
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+
+
+class _EngineRegistry(Mapping[str, "Type[Engine]"]):
+    """Engine name -> engine class, each class imported on its first lookup.
+
+    The names are known without importing a kernel, so listing or checking
+    engines loads none of them, and a run imports only the kernel it names.
+    """
+
+    def __init__(self, classes: dict[str, str]) -> None:
+        self._classes = classes
+
+    def __getitem__(self, name: str) -> Type[Engine]:
+        return __getattr__(self._classes[name])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._classes)
+
+    def __len__(self) -> int:
+        return len(self._classes)
+
+
+#: Engine registry: name -> engine class.
+ENGINE_FACTORIES: Mapping[str, Type[Engine]] = _EngineRegistry(
+    {
+        "reference": "ReferenceEngine",
+        "soa": "SoAEngine",
+        "sanitizer": "SanitizerEngine",
+        "vec": "VecEngine",
+    }
+)
 
 #: The engine a :class:`SimulationConfig` uses unless told otherwise: the
 #: fastest single-run kernel.  Engines are bit-identical, so the default
 #: changes speed only, never a result or a memoization key.
-DEFAULT_ENGINE = SoAEngine.name
+#: :mod:`repro.simulator.simulation` imports it with the simulator.
+DEFAULT_ENGINE = "soa"
 
 
 def available_engines() -> list[str]:

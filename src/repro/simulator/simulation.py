@@ -46,6 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+# The default kernel loads with the simulator, so a first run imports
+# nothing; the other kernels load when a config first names them.
+import repro.simulator.engine.soa  # noqa: F401
 from repro.simulator.engine import (
     DEFAULT_ENGINE,
     ENGINE_FACTORIES,

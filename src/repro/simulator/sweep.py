@@ -48,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Generator, Sequence
 
-from repro.simulator.engine.vec import run_batched
 from repro.simulator.network import Network, build_network
 from repro.simulator.routing_tables import RoutingTables
 from repro.simulator.simulation import SimulationConfig, Simulator
@@ -188,6 +187,9 @@ def run_plans(
             return engines
         ready.extend(engines)
         return []
+
+    # Looked up per call: vec loads only when a config names it.
+    from repro.simulator.engine.vec import run_batched
 
     for index, configs in enumerate(first_rounds):
         ready.extend(arm(index, configs))

@@ -12,14 +12,23 @@ Given a topology and a set of architectural parameters, the toolchain
    link latencies and is used for large design-space sweeps.
 """
 
-from repro.toolchain.results import PredictionResult
-from repro.toolchain.analytical import (
-    AnalyticalPerformance,
-    analytical_performance,
-    pair_weights_from_trace,
-)
+from repro import _lazy_exports
+
+# ``predict`` names both a submodule and the function it defines.  Importing
+# a submodule binds it as an attribute of its package, so the submodule is
+# imported here and the function bound over it.
 from repro.toolchain.predict import PredictionToolchain, predict
-from repro.toolchain.screening import ScreeningEstimate, screen_topology
+
+_EXPORTS = {
+    "repro.toolchain.analytical": (
+        "AnalyticalPerformance",
+        "analytical_performance",
+        "pair_weights_from_trace",
+    ),
+    "repro.toolchain.results": ("PredictionResult",),
+    "repro.toolchain.screening": ("ScreeningEstimate", "screen_topology"),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "PredictionResult",

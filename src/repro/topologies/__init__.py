@@ -11,22 +11,27 @@ The paper's primary contribution, the sparse Hamming graph, lives in
 topologies can be enumerated uniformly.
 """
 
-from repro.topologies.base import Topology, Link, TileCoord
-from repro.topologies.ring import RingTopology
-from repro.topologies.mesh import MeshTopology
-from repro.topologies.torus import TorusTopology
-from repro.topologies.folded_torus import FoldedTorusTopology
-from repro.topologies.hypercube import HypercubeTopology
-from repro.topologies.flattened_butterfly import FlattenedButterflyTopology
-from repro.topologies.slimnoc import SlimNoCTopology
-from repro.topologies.ruche import RucheTopology
-from repro.topologies.properties import TopologyProperties, analyze_topology
-from repro.topologies.registry import (
-    TOPOLOGY_FACTORIES,
-    available_topologies,
-    make_topology,
-    applicable_topologies,
-)
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "repro.topologies.base": ("Topology", "Link", "TileCoord"),
+    "repro.topologies.flattened_butterfly": ("FlattenedButterflyTopology",),
+    "repro.topologies.folded_torus": ("FoldedTorusTopology",),
+    "repro.topologies.hypercube": ("HypercubeTopology",),
+    "repro.topologies.mesh": ("MeshTopology",),
+    "repro.topologies.properties": ("TopologyProperties", "analyze_topology"),
+    "repro.topologies.registry": (
+        "TOPOLOGY_FACTORIES",
+        "available_topologies",
+        "make_topology",
+        "applicable_topologies",
+    ),
+    "repro.topologies.ring": ("RingTopology",),
+    "repro.topologies.ruche": ("RucheTopology",),
+    "repro.topologies.slimnoc": ("SlimNoCTopology",),
+    "repro.topologies.torus": ("TorusTopology",),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Topology",

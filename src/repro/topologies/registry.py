@@ -13,8 +13,9 @@ topologies exactly like the paper does.
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Iterable
+from typing import Callable
 
+from repro.core.sparse_hamming import SparseHammingGraph
 from repro.topologies.base import Topology
 from repro.topologies.flattened_butterfly import FlattenedButterflyTopology
 from repro.topologies.folded_torus import FoldedTorusTopology
@@ -29,24 +30,6 @@ from repro.utils.validation import ValidationError
 TopologyFactory = Callable[..., Topology]
 
 
-def _make_sparse_hamming(
-    rows: int,
-    cols: int,
-    s_r: Iterable[int] = (),
-    s_c: Iterable[int] = (),
-    endpoints_per_tile: int = 1,
-) -> Topology:
-    # Imported lazily to avoid a circular import between repro.topologies and
-    # repro.core (the sparse Hamming graph is built on top of the mesh).  The
-    # signature mirrors SparseHammingGraph's so make_topology can check
-    # kwargs against it.
-    from repro.core.sparse_hamming import SparseHammingGraph
-
-    return SparseHammingGraph(
-        rows, cols, s_r=s_r, s_c=s_c, endpoints_per_tile=endpoints_per_tile
-    )
-
-
 TOPOLOGY_FACTORIES: dict[str, TopologyFactory] = {
     "ring": RingTopology,
     "mesh": MeshTopology,
@@ -56,7 +39,7 @@ TOPOLOGY_FACTORIES: dict[str, TopologyFactory] = {
     "slimnoc": SlimNoCTopology,
     "flattened_butterfly": FlattenedButterflyTopology,
     "ruche": RucheTopology,
-    "sparse_hamming": _make_sparse_hamming,
+    "sparse_hamming": SparseHammingGraph,
 }
 
 # Canonical display names, matching the labels used in the paper's figures.

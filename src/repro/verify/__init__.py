@@ -24,17 +24,22 @@ CLI: ``repro verify`` and ``repro lint`` (see
 entry point for the lint.
 """
 
-from repro.simulator.engine.sanitizer import SanitizerEngine, SanitizerError
-from repro.verify.static import (
-    LAYERS,
-    VerificationReport,
-    Violation,
-    channel_dependency_graph,
-    find_cycle,
-    verify_network,
-    verify_topologies,
-    verify_topology,
-)
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "repro.simulator.engine.sanitizer": ("SanitizerEngine", "SanitizerError"),
+    "repro.verify.static": (
+        "LAYERS",
+        "VerificationReport",
+        "Violation",
+        "channel_dependency_graph",
+        "find_cycle",
+        "verify_network",
+        "verify_topologies",
+        "verify_topology",
+    ),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "LAYERS",

@@ -23,24 +23,29 @@ the ``repro gen-trace`` / ``repro replay`` CLI subcommands; see
 ``docs/WORKLOADS.md``.
 """
 
-from repro.simulator.sweep import replay_trace
-from repro.workloads.generators import (
-    WORKLOAD_FACTORIES,
-    available_workloads,
-    check_workload_name,
-    generate_dnn_inference,
-    generate_mpi_collective,
-    generate_onoff,
-    generate_stencil2d,
-    make_workload_trace,
-)
-from repro.workloads.trace import (
-    TRACE_FORMAT_TAG,
-    TRACE_FORMAT_VERSION,
-    TracePhase,
-    WorkloadTrace,
-    merge_traces,
-)
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "repro.simulator.sweep": ("replay_trace",),
+    "repro.workloads.generators": (
+        "WORKLOAD_FACTORIES",
+        "available_workloads",
+        "check_workload_name",
+        "generate_dnn_inference",
+        "generate_mpi_collective",
+        "generate_onoff",
+        "generate_stencil2d",
+        "make_workload_trace",
+    ),
+    "repro.workloads.trace": (
+        "TRACE_FORMAT_TAG",
+        "TRACE_FORMAT_VERSION",
+        "TracePhase",
+        "WorkloadTrace",
+        "merge_traces",
+    ),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "TRACE_FORMAT_TAG",

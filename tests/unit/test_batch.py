@@ -15,7 +15,6 @@ import dataclasses
 
 import pytest
 
-import repro.simulator.sweep as sweep_module
 from repro.simulator.engine import vec as vec_module
 from repro.simulator.network import build_network
 from repro.simulator.simulation import SimulationConfig, Simulator
@@ -39,13 +38,14 @@ def _stats_dict(stats):
 def kernel_lanes(monkeypatch):
     """The lanes of every ``run_batched`` kernel, one list per kernel."""
     kernels = []
-    original = sweep_module.run_batched
+    original = vec_module.run_batched
 
     def recording(engines, pending=(), on_finish=None):
         kernels.append(list(engines) + list(pending))
         return original(engines, pending=pending, on_finish=on_finish)
 
-    monkeypatch.setattr(sweep_module, "run_batched", recording)
+    # ``run_plans`` looks ``run_batched`` up on the vec module at each call.
+    monkeypatch.setattr(vec_module, "run_batched", recording)
     return kernels
 
 

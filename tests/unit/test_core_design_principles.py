@@ -9,7 +9,11 @@ from repro.core.config_space import (
     enumerate_configurations,
     random_configuration,
 )
-from repro.core.design_principles import Compliance, score_design_principles
+from repro.core.design_principles import (
+    Compliance,
+    _channel_loads,
+    score_design_principles,
+)
 from repro.core.sparse_hamming import SparseHammingGraph
 from repro.topologies import (
     FlattenedButterflyTopology,
@@ -18,7 +22,22 @@ from repro.topologies import (
     RingTopology,
     TorusTopology,
 )
+from repro.topologies.registry import applicable_topologies, make_topology
 from repro.utils.validation import ValidationError
+
+
+def channel_loads_by_walking(topology):
+    """Reference: walk each link's row-first route one channel at a time."""
+    rows, cols = topology.rows, topology.cols
+    horizontal = [[0] * (cols - 1) for _ in range(rows)]
+    vertical = [[0] * cols for _ in range(rows - 1)]
+    for link in topology.links:
+        a, b = topology.coord(link.src), topology.coord(link.dst)
+        for c in range(min(a.col, b.col), max(a.col, b.col)):
+            horizontal[a.row][c] += 1
+        for r in range(min(a.row, b.row), max(a.row, b.row)):
+            vertical[r][b.col] += 1
+    return [n for row in horizontal for n in row], [n for row in vertical for n in row]
 
 
 class TestCompliance:
@@ -77,6 +96,14 @@ class TestScoreDesignPrinciples:
         assert sparse.low_radix in (Compliance.YES, Compliance.PARTIAL)
         assert dense.low_radix is not Compliance.YES
         assert dense.low_diameter is Compliance.YES
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 8), (4, 4), (3, 6), (8, 16), (16, 16)])
+def test_channel_loads_match_walking_every_route(rows, cols):
+    topologies = [make_topology(key, rows, cols) for key in applicable_topologies(rows, cols)]
+    topologies.append(SparseHammingGraph(rows, cols, s_r=range(2, cols), s_c=range(2, rows)))
+    for topology in topologies:
+        assert _channel_loads(topology) == channel_loads_by_walking(topology), topology.name
 
 
 class TestConfigurationSpace:

@@ -268,8 +268,16 @@ class TestCli:
         assert code == 2
         assert "unknown traffic" in capsys.readouterr().err
 
+    def test_work_lease_help_names_the_queue_default(self, capsys):
+        # The parser does not import the queue, so the help spells the default.
+        from repro.service.queue import DEFAULT_LEASE_SECONDS
 
-WORKLOAD = {"name": "stencil2d", "seed": 3, "params": {"iterations": 2, "iteration_window": 16}}
+        with pytest.raises(SystemExit):
+            cli_main(["work", "--help"])
+        assert f"default {DEFAULT_LEASE_SECONDS:g};" in capsys.readouterr().out
+
+
+WORKLOAD ={"name": "stencil2d", "seed": 3, "params": {"iterations": 2, "iteration_window": 16}}
 
 
 class TestWorkloadSpecs:

@@ -8,9 +8,16 @@ while genuinely fractional delays still round up.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from repro.physical.link_latency import _ceil_with_tolerance, link_latency_cycles
+import numpy as np
+
+from repro.physical.link_latency import (
+    CYCLE_BOUNDARY_REL_TOL,
+    _ceil_with_tolerance,
+    link_latency_cycles,
+)
 
 
 @dataclass
@@ -32,6 +39,15 @@ class _LinearDelayParams:
 class _Grid:
     cell_width_mm: float = 1.0
     cell_height_mm: float = 1.0
+
+
+def ceil_by_isclose(value: float) -> int:
+    """Reference round-up: one scalar at a time, through :func:`math.isclose`."""
+    nearest = round(value)
+    tol = CYCLE_BOUNDARY_REL_TOL
+    if math.isclose(value, nearest, rel_tol=tol, abs_tol=tol):
+        return int(nearest)
+    return math.ceil(value)
 
 
 class TestCeilWithTolerance:
@@ -57,6 +73,16 @@ class TestCeilWithTolerance:
         assert _ceil_with_tolerance(1.0e6 + 1.0e-4) == 1_000_000
         # But a same-magnitude excess far beyond the band still rounds up.
         assert _ceil_with_tolerance(1.0e6 + 10.0) == 1_000_010
+
+    def test_elementwise_matches_scalar_isclose_reference(self):
+        rng = np.random.default_rng(0)
+        integers = rng.integers(0, 1000, size=4000).astype(float)
+        # Offsets from far inside to far outside the tolerance band, both sides.
+        offsets = rng.choice([-1.0, 1.0], size=4000) * 10.0 ** rng.uniform(-16, 0, size=4000)
+        values = np.concatenate([integers, integers + offsets, integers * (1 + offsets * 1e-6)])
+        assert _ceil_with_tolerance(values).tolist() == [
+            ceil_by_isclose(v) for v in values.tolist()
+        ]
 
 
 class TestLinkLatencyCycles:
@@ -89,3 +115,15 @@ class TestLinkLatencyCycles:
         grid = _Grid(cell_width_mm=2.0, cell_height_mm=1.0)
         # 2 * 2 mm + 3 * 1 mm = 7 mm -> exactly 7 cycles.
         assert link_latency_cycles(params, grid, 2, 3) == 7
+
+    def test_arrays_of_cell_counts_match_the_per_link_formula(self, small_params):
+        # Real parameters: ``f_mm_to_s`` validates one scalar distance.
+        grid = _Grid(cell_width_mm=0.61, cell_height_mm=0.53)
+        horizontal, vertical = np.meshgrid(np.arange(60), np.arange(60))
+        horizontal, vertical = horizontal.ravel(), vertical.ravel()
+        expected = []
+        for h, v in zip(horizontal.tolist(), vertical.tolist()):
+            length_mm = h * grid.cell_width_mm + v * grid.cell_height_mm
+            cycles = small_params.f_mm_to_s(length_mm) * small_params.frequency_hz
+            expected.append(max(1, ceil_by_isclose(cycles)))
+        assert link_latency_cycles(small_params, grid, horizontal, vertical).tolist() == expected
