@@ -62,20 +62,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------- plumbing
     def _send(self, code: int, payload: dict[str, Any]) -> None:
         body = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
-        # The status line, headers and body go out in one write.  Written
-        # apart, as ``send_response``/``end_headers`` would, the body of a
-        # keep-alive response waits in Nagle's algorithm for the client's
-        # delayed ACK of the headers, about 40 ms.
-        self.log_request(code)
-        head = (
-            f"{self.protocol_version} {code} {self.responses[code][0]}\r\n"
-            f"Server: {self.version_string()}\r\n"
-            f"Date: {self.date_time_string()}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "\r\n"
-        )
-        self.wfile.write(head.encode("latin-1") + body)
+        self.send_response(code)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
 
     def _query_params(self) -> dict[str, str]:
         return {
